@@ -120,7 +120,8 @@ def run_workloads() -> list:
         else:  # pragma: no cover - depends on caller environment
             os.environ["REPRO_BACKEND"] = prev
     t = 2 * model.layout.dim + 1
-    out.append(WorkloadResult("stencil sweep", _measured(), stencil_batch_profile(model.N, t)))
+    profile = stencil_batch_profile(model.N, t, logdet_stacks=1)  # host-side prior logdets
+    out.append(WorkloadResult("stencil sweep", _measured(), profile))
 
     be.transfers.reset()
     return out

@@ -62,14 +62,14 @@ class DALIA:
         Parallel width for objective-function batches (strategy S1;
         saturates at ``2 dim(theta) + 1``).  On the sequential host path
         the evaluator replaces the per-point thread pool with
-        theta-batched ``pobtaf`` sweeps — one batched factorization per
-        precision matrix for the whole stencil
+        theta-batched ``pobtaf`` sweeps — one batched ``Qc``
+        factorization for the whole stencil
         (:func:`repro.structured.multifactor.factorize_batch`); the pool
         remains the fallback for distributed solvers and infeasible
         batches.
     s2_parallel:
-        Factorize ``Qp`` and ``Qc`` concurrently (strategy S2; per-point
-        path only).
+        Compute ``log|Qp|`` and factorize ``Qc`` concurrently (strategy
+        S2; per-point path only).
     batch_stencils:
         Force (True) / disable (False) the theta-batched stencil sweep;
         None follows the solver type and ``REPRO_BATCHED``.

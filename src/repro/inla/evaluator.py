@@ -7,19 +7,27 @@ embarrassingly parallel.  :class:`FobjEvaluator` exploits that two ways:
 - **theta-batched stencil sweeps** (the default on the sequential host
   path): all stencil points share the exact same BTA block structure and
   differ only in values, so the evaluator assembles the theta-stacked
-  ``Qp`` / ``Qc`` matrices and drives
+  ``Qc`` matrices and drives
   :func:`repro.structured.multifactor.factorize_batch` — **one** batched
-  ``pobtaf`` sweep per precision matrix for the whole batch (2 sweeps
-  per stencil instead of ``2 (2 d + 1)``), with all log-determinants and
-  conditional-mean solves coming out of theta-batched passes.  This is
-  the shape a device backend wants: one fat kernel launch per chain step
-  instead of ``2 d + 1`` thin ones.
+  ``pobtaf`` sweep for the whole batch instead of ``2 d + 1``, with all
+  log-determinants and conditional-mean solves coming out of
+  theta-batched passes.  This is the shape a device backend wants: one
+  fat kernel launch per chain step instead of ``2 d + 1`` thin ones.
 - **thread-pooled per-point evaluation** (the fallback): a pool of
   ``s1`` workers, mirroring the paper's MPI groups ``G_S1`` — NumPy's
   LAPACK releases the GIL, so the factorizations genuinely overlap.
   Used for distributed (S3) solvers, subclassed engines, pinned
   per-block kernels, and to resolve which theta of a batch went
   non-positive-definite.
+
+Neither path factorizes the joint prior ``Qp``: its log-determinant
+comes from the LMC identity
+(:meth:`repro.model.assembler.CoregionalSTModel.prior_logdets`) — one
+univariate batched sweep over the process ranges the evaluator's private
+**prior memo** has not seen yet.  A gradient stencil moves each range
+coordinate of one process at a time, so after the first evaluation a
+stencil needs ``4 nv`` new univariate precisions, not ``2 d + 1`` joint
+ones.
 
 A **theta-keyed LRU cache** sits in front of both paths: the BFGS line
 search evaluates a candidate, then — on acceptance — the gradient
@@ -51,7 +59,7 @@ from repro.inla.nongaussian import (
     evaluate_fobj_nongaussian_batch,
 )
 from repro.inla.solvers import SequentialSolver, StructuredSolver
-from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel
+from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel, PriorLogdetMemo
 from repro.structured.kernels import NotPositiveDefiniteError
 from repro.structured.multifactor import factorize_batch
 
@@ -111,9 +119,8 @@ class FobjEvaluator:
     s1_workers:
         Thread-pool width of the per-point fallback path.
     s2_parallel:
-        Factorize ``Qp`` / ``Qc`` of one point concurrently (per-point
-        path only; the batch sweep factorizes them back-to-back as two
-        theta-batched launches).
+        Compute ``log|Qp|`` and factorize ``Qc`` of one point concurrently
+        (per-point path only).
     batch_stencils:
         Force (True) or disable (False) the theta-batched stencil sweep;
         None (default) enables it whenever the solver is sequential, the
@@ -138,12 +145,14 @@ class FobjEvaluator:
         line-search / convergence pattern) retain handles; stencil
         batches never do, on either path.
 
-    Accounting: a per-point evaluation runs exactly 2 ``pobtaf`` sweeps
-    (one per precision matrix, shared by logdet + solve through the
-    handle); a batch of ``m`` uncached points runs exactly 2 theta-batched
-    sweeps total; a cache hit runs none.  All asserted against
+    Accounting: a per-point evaluation runs one ``Qc`` ``pobtaf`` sweep
+    (shared by logdet + solve through the handle) plus one univariate
+    prior sweep when the prior memo misses any of its processes; a batch
+    of ``m`` uncached points runs one theta-batched ``Qc`` sweep plus at
+    most one prior sweep; a cache hit runs none.  All asserted against
     :data:`repro.structured.pobtaf.FACTORIZATIONS` by the objective and
-    evaluator tests.
+    evaluator tests.  ``n_batch_sweeps`` counts the ``Qc`` sweeps of the
+    batch path.
     """
 
     def __init__(
@@ -176,6 +185,9 @@ class FobjEvaluator:
         self.n_cache_hits = 0
         self._cache: OrderedDict = OrderedDict()
         self._cache_lock = threading.Lock()
+        # Per-process log|Q_st,k| by range (floats only); a fresh
+        # evaluator starts cold.
+        self._prior_memo = PriorLogdetMemo()
         # Reusable theta-first assembly stacks for the batch sweep (grown
         # to the largest stencil width seen, overwritten every batch).
         self._assembly_ws: AssemblyWorkspace | None = None
@@ -272,6 +284,7 @@ class FobjEvaluator:
             theta,
             solver=self.solver,
             s2_parallel=self.s2_parallel,
+            prior_memo=self._prior_memo,
         )
 
     def __call__(self, theta: np.ndarray) -> FobjResult:
@@ -298,6 +311,7 @@ class FobjEvaluator:
                 solver=self.solver,
                 s2_parallel=self.s2_parallel,
                 keep_factor=True,
+                prior_memo=self._prior_memo,
             )
         else:
             res = self._eval_one(theta)
@@ -313,19 +327,20 @@ class FobjEvaluator:
             return [f.result() for f in futures]
 
     def _eval_batch_sweep(self, thetas: list) -> list | None:
-        """All stencil points through one batched assembly + two sweeps.
+        """All stencil points through one batched assembly + one Qc sweep.
 
         ``model.assemble_batch`` evaluates every point's scalar
         coefficients (screening infeasible thetas before any value work)
-        and fills the theta-first ``Qp`` / ``Qc`` block stacks in one
-        numeric pass — zero scipy sparse arithmetic, zero per-theta
-        ``BTAMatrix`` copies.  The stacks are factorized in place
-        (``overwrite=True``; they live in a reusable workspace rebuilt
-        every batch), and all log-determinants and conditional means come
-        from theta-batched passes; infeasible thetas yield ``-inf`` rows.
-        Returns None when any stacked matrix is not positive definite —
-        the batched Cholesky cannot tell *which* theta failed, so the
-        caller resolves the batch on the per-point path instead.
+        and fills the theta-first ``Qc`` block stack in one numeric pass
+        — zero scipy sparse arithmetic, zero per-theta ``BTAMatrix``
+        copies.  The stack is factorized in place (``overwrite=True``; it
+        lives in a reusable workspace rebuilt every batch), and all
+        ``Qc`` log-determinants and conditional means come from
+        theta-batched passes; ``log|Qp|`` comes from the memoized prior
+        identity.  Infeasible thetas yield ``-inf`` rows.  Returns None
+        when any stacked matrix is not positive definite — the batched
+        Cholesky cannot tell *which* theta failed, so the caller resolves
+        the batch on the per-point path instead.
         """
         model = self.model
         if self._assembly_ws is None:
@@ -337,17 +352,19 @@ class FobjEvaluator:
         results = [FobjResult(theta=t, value=-np.inf) for t in thetas]
         if batch.t == 0:
             return results
+        logdets_p = model.prior_logdets(batch.thetas[batch.feasible], self._prior_memo)
+        if not np.isfinite(logdets_p).all():
+            return None
         try:
-            qp_batch = factorize_batch(batch.qp, overwrite=True)
             qc_batch = factorize_batch(batch.qc, overwrite=True)
         except NotPositiveDefiniteError:
             return None
-        self.n_batch_sweeps += 2
+        self.n_batch_sweeps += 1
         finished = finish_fobj_results_batch(
             model,
             [thetas[j] for j in batch.feasible],
             batch,
-            qp_batch.logdets(),
+            logdets_p,
             qc_batch.logdets(),
             qc_batch.solve_each(batch.rhs),
         )
@@ -359,8 +376,8 @@ class FobjEvaluator:
         """Evaluate many stencil points; order of results matches input.
 
         Cached points are served first; the remainder goes through the
-        theta-batched sweep when eligible (two ``pobtaf`` sweeps for the
-        whole batch) and through the thread pool otherwise.
+        theta-batched sweep when eligible (one ``Qc`` ``pobtaf`` sweep for
+        the whole batch) and through the thread pool otherwise.
         """
         self.n_batches += 1
         self.n_evaluations += len(thetas)
@@ -483,6 +500,7 @@ class NonGaussianFobjEvaluator(FobjEvaluator):
             self.lik,
             max_newton=self.max_newton,
             x0_perm=self._warm_starts.get(key),
+            prior_memo=self._prior_memo,
         )
         if res.mu_perm is not None:
             self._warm_starts[key] = np.array(res.mu_perm)
@@ -499,6 +517,7 @@ class NonGaussianFobjEvaluator(FobjEvaluator):
             max_newton=self.max_newton,
             warm_starts=self._warm_starts,
             workspace=self._assembly_ws,
+            prior_memo=self._prior_memo,
         )
         self._trim_warm_starts()
         self.n_batch_sweeps += 1

@@ -42,7 +42,7 @@ from scipy.special import expit, gammaln
 from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import NUMPY_BACKEND, get_backend
 from repro.inla.objective import FobjResult
-from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel
+from repro.model.assembler import AssemblyWorkspace, CoregionalSTModel, PriorLogdetMemo
 from repro.structured.bta import BTAStack
 from repro.structured.factor import factorize
 from repro.structured.kernels import NotPositiveDefiniteError
@@ -410,7 +410,7 @@ def _lockstep_newton(
                 break
         n_newton[active] += 1
         qc_vals = kern.qc_values(qp_values[active], d)
-        stack = workspace.stacks(shape, int(active.size))[1]
+        stack = workspace.qc_stack(shape, int(active.size))
         kern.scatter(qc_vals, stack)
         try:
             fb = factorize_batch(stack, overwrite=True)
@@ -538,12 +538,15 @@ def evaluate_fobj_nongaussian(
     *,
     max_newton: int = 40,
     x0_perm: np.ndarray | None = None,
+    prior_memo: PriorLogdetMemo | None = None,
 ) -> FobjResult:
     """``fobj(theta)`` for a general likelihood (paper Eq. 8, full Laplace).
 
     ``fobj = log p(theta) + loglik(y | x*) + 1/2 log|Qp| - 1/2 x*^T Qp x*
     - 1/2 log|Qc(x*)|`` with ``x*`` the conditional mode from the inner
-    Newton loop.
+    Newton loop and ``log|Qp|`` from
+    :meth:`~repro.model.assembler.CoregionalSTModel.prior_logdets`
+    (``prior_memo`` as there).
 
     Exception contract (mirrors
     :func:`repro.inla.objective.evaluate_fobj`): ``ValueError`` is caught
@@ -558,10 +561,10 @@ def evaluate_fobj_nongaussian(
         qp_values = _prior_values_single(model, theta)
     except (ValueError, FloatingPointError, OverflowError):
         return FobjResult(theta=theta, value=-np.inf)
+    logdet_p = float(model.prior_logdets(theta, prior_memo)[0])
+    if not np.isfinite(logdet_p):
+        return FobjResult(theta=theta, value=-np.inf)
     try:
-        logdet_p = factorize(
-            model.plan.scatter_p.scatter(qp_values[0]), overwrite=True
-        ).logdet()
         x_perm, logdet_qc, _, _, factor = _serial_newton(
             model, lik, qp_values, max_newton=max_newton, x0_perm=x0_perm
         )
@@ -594,14 +597,17 @@ def evaluate_fobj_nongaussian_batch(
     max_newton: int = 40,
     warm_starts: dict | None = None,
     workspace: AssemblyWorkspace | None = None,
+    prior_memo: PriorLogdetMemo | None = None,
 ) -> list:
     """Theta-batched ``fobj`` for a general likelihood.
 
     Under ``REPRO_BATCHED=0`` on host-LAPACK backends every lane runs
-    the serial wrapper (bitwise the legacy path); otherwise: one prior
-    ``factorize_batch`` for the ``log|Qp|`` stack, the lockstep Newton
-    loops, and one vectorized epilogue over the finished lanes.  Returns
-    one :class:`FobjResult` per requested theta (``-inf`` for
+    the serial wrapper (bitwise the legacy path); otherwise: the
+    ``log|Qp|`` stack from
+    :meth:`~repro.model.assembler.CoregionalSTModel.prior_logdets` (at
+    most one univariate sweep; ``prior_memo`` as there), the lockstep
+    Newton loops, and one vectorized epilogue over the finished lanes.
+    Returns one :class:`FobjResult` per requested theta (``-inf`` for
     infeasible / invalid / non-SPD lanes).  ``warm_starts`` is a
     theta-keyed mutable mapping of permuted modes, updated in place.
     """
@@ -615,7 +621,7 @@ def evaluate_fobj_nongaussian_batch(
             key = _theta_key(th)
             x0 = warm_starts.get(key) if warm_starts is not None else None
             r = evaluate_fobj_nongaussian(
-                model, th, lik, max_newton=max_newton, x0_perm=x0
+                model, th, lik, max_newton=max_newton, x0_perm=x0, prior_memo=prior_memo
             )
             if warm_starts is not None and r.mu_perm is not None:
                 warm_starts[key] = np.array(r.mu_perm)
@@ -629,26 +635,7 @@ def evaluate_fobj_nongaussian_batch(
     if live.size == 0:
         return results
     qp_values = model.plan.prior_values(c[live], B[live])
-    shape = model.permutation.bta_shape
-    qp_stack = workspace.stacks(shape, int(live.size))[0]
-    model.plan.scatter_p.scatter_stacks(
-        qp_values, qp_stack.diag, qp_stack.lower, qp_stack.arrow, qp_stack.tip
-    )
-    try:
-        logdet_p = np.asarray(
-            be.to_host(factorize_batch(qp_stack, overwrite=True).logdets()),
-            dtype=np.float64,
-        )
-    except NotPositiveDefiniteError:
-        # The batched sweep cannot name the lane; resolve priors serially.
-        logdet_p = np.full(live.size, np.nan)
-        for i in range(int(live.size)):
-            try:
-                logdet_p[i] = factorize(
-                    model.plan.scatter_p.scatter(qp_values[i]), overwrite=True
-                ).logdet()
-            except NotPositiveDefiniteError:
-                pass  # lane stays nan -> reported -inf below
+    logdet_p = model.prior_logdets(thetas[live], prior_memo)  # nan -> -inf below
     x, logdet_qc, n_newton, converged, failed, factors = _lockstep_newton(
         model, lik, thetas[live], qp_values,
         max_newton=max_newton, warm_starts=warm_starts, workspace=workspace,

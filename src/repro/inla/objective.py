@@ -10,12 +10,16 @@ available in closed form at the conditional mean ``mu``::
                                                         its own mean)
 
 (the ``n/2 log 2 pi`` constants of the two Gaussian densities cancel).
-Each evaluation requires exactly two factorizations — one per precision
-matrix (``Qp``, ``Qc``), obtained as handles via ``solver.factorize`` —
-and one triangular solve against the ``Qc`` handle; the quantities
-strategies S2/S3 parallelize.  The handle keeps ``logdet`` and the
-conditional-mean solve on one ``pobtaf`` (asserted by the
-factorization-count test in ``tests/inla/test_objective.py``).
+Each evaluation factorizes the conditional precision ``Qc`` exactly once
+(a handle via ``solver.factorize``) — its ``logdet`` and the
+conditional-mean solve share that one ``pobtaf`` — and never factorizes
+the joint prior.  ``log|Qp|`` comes from the LMC identity
+(:meth:`repro.model.assembler.CoregionalSTModel.prior_logdets`): ``nv``
+univariate ``nt``-block factorizations in one batched sweep, of which a
+memo (owned by the caller's evaluator) skips every process whose ranges
+it has seen.  A cold evaluation therefore counts two ``FACTORIZATIONS``
+sweeps, a memo hit one (asserted by the factorization-count tests in
+``tests/inla/test_objective.py``).
 
 Hyperparameter configurations for which a precision matrix is not
 positive definite yield ``fobj = -inf`` so the optimizer backtracks.
@@ -34,6 +38,7 @@ from repro.model.assembler import (
     AssembledSystem,
     BatchAssembledSystem,
     CoregionalSTModel,
+    PriorLogdetMemo,
 )
 from repro.structured.kernels import NotPositiveDefiniteError
 
@@ -150,15 +155,18 @@ def evaluate_fobj(
     s2_parallel: bool = False,
     keep_mu: bool = False,
     keep_factor: bool = False,
+    prior_memo: PriorLogdetMemo | None = None,
 ) -> FobjResult:
     """Evaluate ``fobj(theta)`` (one stencil point of strategy S1).
 
-    ``s2_parallel=True`` factorizes ``Qp`` and ``Qc`` concurrently in two
-    threads (paper strategy S2 — valid because the Gaussian likelihood
-    makes the two matrices independent).  ``keep_factor=True`` attaches
-    the ``Qc`` factorization handle to the result so a caching caller
-    (the evaluator's theta-keyed LRU) can serve later consumers at this
-    theta without refactorizing.
+    ``s2_parallel=True`` computes ``log|Qp|`` and factorizes ``Qc``
+    concurrently in two threads (paper strategy S2 — valid because the
+    Gaussian likelihood makes the two matrices independent).
+    ``keep_factor=True`` attaches the ``Qc`` factorization handle to the
+    result so a caching caller (the evaluator's theta-keyed LRU) can
+    serve later consumers at this theta without refactorizing.
+    ``prior_memo`` carries per-process prior log-determinants across
+    calls (see :meth:`CoregionalSTModel.prior_logdets`).
     """
     theta = np.asarray(theta, dtype=np.float64)
     solver = solver or SequentialSolver()
@@ -169,13 +177,13 @@ def evaluate_fobj(
         # such configurations as infeasible so BFGS backtracks.
         return FobjResult(theta=theta, value=-np.inf)
 
-    # One factorization handle per precision matrix: Qp serves only the
-    # logdet, but the Qc handle is shared by the logdet *and* the
-    # conditional-mean solve (and stays reusable for any further
-    # consumer at this theta).  `overwrite=True` reuses the assembled
-    # block storage — Qp/Qc are rebuilt every evaluation anyway.
-    def factor_qp():
-        return solver.factorize(sys.qp, overwrite=True).logdet()
+    # log|Qp| needs no factorization of Qp itself (LMC identity); the Qc
+    # handle is shared by the logdet *and* the conditional-mean solve
+    # (and stays reusable for any further consumer at this theta).
+    # `overwrite=True` reuses the assembled block storage — Qc is
+    # rebuilt every evaluation anyway.
+    def prior_logdet():
+        return float(model.prior_logdets(sys.theta, prior_memo)[0])
 
     def factor_qc():
         f = solver.factorize(sys.qc, overwrite=True)
@@ -184,14 +192,16 @@ def evaluate_fobj(
     try:
         if s2_parallel:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                fut_p = pool.submit(factor_qp)
+                fut_p = pool.submit(prior_logdet)
                 fut_c = pool.submit(factor_qc)
                 logdet_p = fut_p.result()
                 fc, logdet_c, mu_perm = fut_c.result()
         else:
-            logdet_p = factor_qp()
+            logdet_p = prior_logdet()
             fc, logdet_c, mu_perm = factor_qc()
     except NotPositiveDefiniteError:
+        return FobjResult(theta=theta, value=-np.inf)
+    if not np.isfinite(logdet_p):  # a process precision is not positive definite
         return FobjResult(theta=theta, value=-np.inf)
 
     return finish_fobj_result(

@@ -114,10 +114,10 @@ def _run_serial(sc: Scenario, max_newton: int, tol: float) -> ScenarioResult:
         qp_values = _prior_values_single(model, theta)
     except (ValueError, FloatingPointError, OverflowError):
         return ScenarioResult(sc.name, FobjResult(theta=theta, value=-np.inf), None, 0, False)
+    logdet_p = float(model.prior_logdets(theta)[0])
+    if not np.isfinite(logdet_p):
+        return ScenarioResult(sc.name, FobjResult(theta=theta, value=-np.inf), None, 0, False)
     try:
-        logdet_p = float(
-            factorize(model.plan.scatter_p.scatter(qp_values[0]), overwrite=True).logdet()
-        )
         x_perm, logdet_qc, n_it, conv, factor = _serial_newton(
             model, lik, qp_values, max_newton=max_newton, tol=tol
         )
@@ -157,23 +157,8 @@ def _run_group(scenarios, idxs, shape, out, be, max_newton: int, tol: float) -> 
     t = len(lanes)
     ws = AssemblyWorkspace(backend=be)
 
-    # -- log|Qp|: one shared batched factorization across the group ------
-    qp_stack = ws.stacks(shape, t)[0]
-    for j, ln in enumerate(lanes):
-        _scatter_row(ln.kern.plan.scatter_p, ln.qp, qp_stack, j)
-    try:
-        logdet_p = np.asarray(
-            be.to_host(factorize_batch(qp_stack, overwrite=True).logdets()), dtype=np.float64
-        )
-    except NotPositiveDefiniteError:
-        logdet_p = np.full(t, np.nan)
-        for j, ln in enumerate(lanes):
-            try:
-                logdet_p[j] = factorize(
-                    ln.kern.plan.scatter_p.scatter(ln.qp[0]), overwrite=True
-                ).logdet()
-            except NotPositiveDefiniteError:
-                pass  # lane stays nan -> reported -inf below
+    # -- log|Qp| per cell from the LMC identity (nan -> -inf below) -------
+    logdet_p = np.array([ln.kern.model.prior_logdets(ln.theta)[0] for ln in lanes])
 
     # -- lockstep Newton -------------------------------------------------
     n = lanes[0].kern.model.N
@@ -203,7 +188,7 @@ def _run_group(scenarios, idxs, shape, out, be, max_newton: int, tol: float) -> 
         active = still
         if not active:
             break
-        stack = ws.stacks(shape, len(active))[1]
+        stack = ws.qc_stack(shape, len(active))
         rhs = np.empty((len(active), n))
         for row, j in enumerate(active):
             ln = lanes[j]

@@ -32,7 +32,10 @@ whole gradient-stencil stacks at once (the feed of
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,11 +49,13 @@ from repro.model.design import joint_design, process_design
 from repro.model.layout import ThetaLayout
 from repro.model.likelihood import GaussianLikelihood
 from repro.sparse.align import PatternAligner, canonical_csr
-from repro.sparse.mapping import BTAMapping
+from repro.sparse.mapping import BTAMapping, BTAScatter
 from repro.spde.matern import spatial_operator_bases
 from repro.spde.priors import PriorCollection
 from repro.spde.spatiotemporal import SpatioTemporalSPDE
-from repro.structured.bta import BTAMatrix, BTAStack
+from repro.structured.bta import BTAMatrix, BTAShape, BTAStack
+from repro.structured.kernels import NotPositiveDefiniteError
+from repro.structured.multifactor import factorize_batch
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,27 @@ class ResponseData:
 
 @dataclass
 class AssembledSystem:
-    """Per-``theta`` output of :meth:`CoregionalSTModel.assemble`."""
+    """Per-``theta`` output of :meth:`CoregionalSTModel.assemble`.
+
+    The prior's BTA blocks (:attr:`qp`) are scattered on first access:
+    the objective reads only ``qp_csr`` (the quadratic form) and takes
+    ``log|Qp|`` from :meth:`CoregionalSTModel.prior_logdets`, so an
+    evaluation never pays the scatter.
+    """
 
     theta: np.ndarray
-    qp: BTAMatrix | None  # prior precision, time-major BTA blocks
     qc: BTAMatrix | None  # conditional precision, time-major BTA blocks
     qp_csr: sp.csr_matrix  # permuted sparse prior (kept for cheap matvecs)
     rhs: np.ndarray  # permuted information vector A^T D y
     taus: np.ndarray  # observation noise precisions
+    _qp: BTAMatrix | Callable[[], BTAMatrix] | None = field(default=None, repr=False)
+
+    @property
+    def qp(self) -> BTAMatrix | None:
+        """Prior precision, time-major BTA blocks (scattered on first access)."""
+        if callable(self._qp):
+            self._qp = self._qp()
+        return self._qp
 
 
 class SymbolicAssembly:
@@ -175,6 +193,11 @@ class SymbolicAssembly:
         ns = model.ns
         st_rows = (t_rows[:, None] * ns + s_rows[None, :]).ravel()
         st_cols = (t_cols[:, None] * ns + s_cols[None, :]).ravel()
+        # Kept for the univariate prior scatter (built lazily on first use).
+        self._ns, self._nt = ns, model.nt
+        self._t_entries = (t_rows, t_cols)
+        self._s_entries = (s_rows, s_cols)
+        self._uni_scatter: BTAScatter | None = None
         fixed = np.arange(model.nr) + spde.dim
         self._eps_ones = np.ones(model.nr)
         self._block_slots_st = []
@@ -298,6 +321,59 @@ class SymbolicAssembly:
         feasible &= ok_mix
         return taus, c, B, feasible
 
+    def process_values(self, c: np.ndarray, *, backend: Backend | None = None) -> np.ndarray:
+        """Unit-variance per-process SPDE values ``(t, p, ntt * nnz_s)``.
+
+        ``c`` is a ``(t, p, >= 9)`` coefficient stack (the Kronecker term
+        coefficients first).  Spatial combinations ``s_i = sum_j c_ij S_j``
+        then the temporal outer product ``P_st = sum_i M_i (x) s_i`` — two
+        stacked matmuls whose per-slice shape is independent of ``t`` and
+        ``p`` (the same GEMM runs for every theta/process slice, so a
+        length-1 stack stays bit-identical to any batch).  Entries are in
+        (temporal entry, spatial entry) order.
+        """
+        be = backend if backend is not None else NUMPY_BACKEND
+        t, p = c.shape[:2]
+        cmat = be.zeros((t, p, 12))
+        cmat[:, :, self._coeff_map] = c[:, :, :9]
+        s = cmat.reshape(t, p, 3, 4) @ self._spatial_dense  # (t, p, 3, nnz_s)
+        pst = self._temporal_mix @ s  # (t, p, ntt, nnz_s)
+        return pst.reshape(t, p, -1)
+
+    def univariate_stack(self, c_st: np.ndarray) -> BTAStack:
+        """Process precisions ``Q_st`` as a BT stack ``(n=nt, b=ns, a=0)``.
+
+        ``c_st`` is an ``(m, 9)`` stack of SPDE term coefficients.  Each
+        ``Q_st`` is block-tridiagonal in time in its natural (time-major)
+        order, so its values land in BTA blocks by index arithmetic on the
+        temporal and spatial union patterns alone; the scatter is built on
+        first use, so models that never ask pay nothing.
+        """
+        if self._uni_scatter is None:
+            self._uni_scatter = self._build_univariate_scatter()
+        pst = self.process_values(c_st[:, None, :])[:, 0]
+        stack = BTAStack.zeros(self._uni_scatter.shape3, c_st.shape[0])
+        self._uni_scatter.scatter_stacks(pst, stack.diag, stack.lower, None, None)
+        return stack
+
+    def _build_univariate_scatter(self) -> BTAScatter:
+        ns, nnz_s = self._ns, self.nnz_s
+        t_rows, t_cols = self._t_entries
+        s_rows, s_cols = self._s_entries
+        in_block = s_rows * ns + s_cols  # flat offset inside a (ns, ns) block
+
+        def pairs(entries, block):
+            src = (entries[:, None] * nnz_s + np.arange(nnz_s)).ravel()
+            dst = (block[entries, None] * ns * ns + in_block).ravel()
+            return dst, src
+
+        # Diagonal blocks keep both triangles; sub-diagonal blocks are
+        # (t+1, t); the mirrored super-diagonal entries are dropped.
+        diag = pairs(np.flatnonzero(t_rows == t_cols), t_rows)
+        lower = pairs(np.flatnonzero(t_rows == t_cols + 1), t_cols)
+        none = (np.zeros(0, dtype=np.int64),) * 2
+        return BTAScatter(BTAShape(n=self._nt, b=ns, a=0), diag, lower, none, none)
+
     def prior_values(
         self, c: np.ndarray, B: np.ndarray, *, backend: Backend | None = None
     ) -> np.ndarray:
@@ -311,16 +387,7 @@ class SymbolicAssembly:
         """
         be = backend if backend is not None else NUMPY_BACKEND
         t, nv = c.shape[0], self.nv
-        # Spatial combinations ``s_i = sum_j c_ij S_j`` then the temporal
-        # outer product ``P_st = sum_i M_i (x) s_i`` — two stacked
-        # matmuls whose per-slice shape is independent of ``t`` (the
-        # same GEMM runs for every theta/process slice, so a length-1
-        # stack stays bit-identical to any batch).
-        cmat = be.zeros((t, nv, 12))
-        cmat[:, :, self._coeff_map] = c[:, :, :9]
-        s = cmat.reshape(t, nv, 3, 4) @ self._spatial_dense  # (t, nv, 3, nnz_s)
-        pst = self._temporal_mix @ s  # (t, nv, ntt, nnz_s)
-        pst = pst.reshape(t, nv, -1)
+        pst = self.process_values(c, backend=be)
         peps = c[:, :, 9, None] * self._eps_ones if self.nr else None
 
         out = (
@@ -525,7 +592,9 @@ class AssemblyWorkspace:
     block stacks.  The stacks are overwritten by every ``assemble_batch``
     call that uses the workspace (and factorized in place by the
     evaluator's ``overwrite=True`` sweeps) — callers must not hold on to
-    the previous batch's stacks across calls.
+    the previous batch's stacks across calls.  The ``Qp`` and ``Qc``
+    stacks are allocated independently, on first request: the objective
+    paths only ever ask for ``Qc``.
 
     ``backend`` pins where the stacks (and the plan's value scratch of
     any ``assemble_batch`` call using this workspace) live — the single
@@ -534,14 +603,56 @@ class AssemblyWorkspace:
 
     def __init__(self, *, backend: Backend | None = None):
         self.backend = backend if backend is not None else NUMPY_BACKEND
-        self._qp: BTAStack | None = None
-        self._qc: BTAStack | None = None
+        self._stacks: dict = {}
 
-    def stacks(self, shape3, t: int) -> tuple:
-        if self._qp is None or self._qp.t < t or self._qp.shape3 != shape3:
-            self._qp = BTAStack.zeros(shape3, t, backend=self.backend)
-            self._qc = BTAStack.zeros(shape3, t, backend=self.backend)
-        return self._qp.head(t), self._qc.head(t)
+    def _stack(self, which: str, shape3: BTAShape, t: int) -> BTAStack:
+        stack = self._stacks.get(which)
+        if stack is None or stack.t < t or stack.shape3 != shape3:
+            stack = self._stacks[which] = BTAStack.zeros(shape3, t, backend=self.backend)
+        return stack.head(t)
+
+    def qp_stack(self, shape3: BTAShape, t: int) -> BTAStack:
+        """Head view of the reusable prior stack (``t`` rows)."""
+        return self._stack("qp", shape3, t)
+
+    def qc_stack(self, shape3: BTAShape, t: int) -> BTAStack:
+        """Head view of the reusable conditional stack (``t`` rows)."""
+        return self._stack("qc", shape3, t)
+
+
+class PriorLogdetMemo:
+    """Bounded, thread-safe memo of per-process prior log-determinants.
+
+    Keys are ``(k, range_k)`` — process ``k`` and the bytes of its two
+    log-range coordinates, the only hyperparameters its unit-variance
+    precision ``Q_st,k`` depends on; values are plain floats (never
+    factors).  Least-recently-used entries are dropped past
+    :attr:`capacity`.  Only finite log-determinants are stored, so a
+    failed factorization is retried rather than remembered.
+    """
+
+    capacity = 1024
+
+    def __init__(self):
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key) -> float | None:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key, value: float) -> None:
+        with self._lock:
+            self._data[key] = float(value)
+            self._data.move_to_end(key)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
 
 
 @dataclass
@@ -550,26 +661,33 @@ class BatchAssembledSystem:
 
     Only the ``feasible`` subset of the requested thetas is assembled;
     all per-theta arrays are indexed by *live* position ``i`` (theta
-    ``thetas[feasible[i]]``).  The block stacks feed
+    ``thetas[feasible[i]]``).  The ``Qc`` block stack feeds
     :func:`repro.structured.multifactor.factorize_batch` directly
-    (``overwrite=True`` — they are rebuilt every batch); per-theta sparse
-    views for the cheap matvec work are materialized lazily by
-    :meth:`system`.
+    (``overwrite=True`` — it is rebuilt every batch); the ``Qp`` stack
+    (:attr:`qp`) is scattered on first access, and per-theta sparse views
+    for the cheap matvec work are materialized lazily by :meth:`system`.
     """
 
     thetas: np.ndarray  # (t_request, dim) as requested
     feasible: np.ndarray  # indices of assembled rows into `thetas`
-    qp: BTAStack | None  # prior stacks, live rows only
     qc: BTAStack | None  # conditional stacks, live rows only
     rhs: np.ndarray | None  # (t_live, N) permuted information vectors
     taus: np.ndarray | None  # (t_live, nv)
     qp_values: np.ndarray | None  # (t_live, nnz_p) aligned prior data rows
     _plan: SymbolicAssembly | None = field(default=None, repr=False)
+    _qp: BTAStack | Callable[[], BTAStack] | None = field(default=None, repr=False)
 
     @property
     def t(self) -> int:
         """Number of assembled (feasible) thetas."""
         return int(self.feasible.size)
+
+    @property
+    def qp(self) -> BTAStack | None:
+        """Prior stacks, live rows only (scattered on first access)."""
+        if callable(self._qp):
+            self._qp = self._qp()
+        return self._qp
 
     def quad_stack(self, mu_stack: np.ndarray) -> np.ndarray:
         """``mu_j^T Qp_j mu_j`` over the live rows (see
@@ -589,7 +707,6 @@ class BatchAssembledSystem:
         j = int(self.feasible[i])
         return AssembledSystem(
             theta=self.thetas[j],
-            qp=None,
             qc=None,
             qp_csr=self._plan.qp_csr(self.qp_values[i]),
             rhs=self.rhs[i],
@@ -746,13 +863,14 @@ class CoregionalSTModel:
         the factors.
         """
         theta, taus, qp, qc, rhs_var = self._plan_values(theta)
+        scatter_p, qp_row = self.plan.scatter_p, qp[0]
         return AssembledSystem(
             theta=theta,
-            qp=self.plan.scatter_p.scatter(qp[0]),
             qc=self.plan.scatter_c.scatter(qc[0]),
-            qp_csr=self.plan.qp_csr(qp[0]),
+            qp_csr=self.plan.qp_csr(qp_row),
             rhs=self.plan.permute_rhs(rhs_var[0]),
             taus=taus,
+            _qp=lambda: scatter_p.scatter(qp_row),
         )
 
     def assemble_batch(
@@ -789,7 +907,6 @@ class CoregionalSTModel:
             return BatchAssembledSystem(
                 thetas=thetas,
                 feasible=live,
-                qp=None,
                 qc=None,
                 rhs=None,
                 taus=None,
@@ -797,28 +914,116 @@ class CoregionalSTModel:
                 _plan=self.plan,
             )
         qp, qc, rhs_var = self.plan.values(c[live], B[live], taus[live], backend=be)
-        shape = self.permutation.bta_shape
+        shape, t = self.permutation.bta_shape, int(live.size)
         if workspace is None:
-            qp_stack = BTAStack.zeros(shape, live.size, backend=be)
-            qc_stack = BTAStack.zeros(shape, live.size, backend=be)
+            qc_stack = BTAStack.zeros(shape, t, backend=be)
         else:
-            qp_stack, qc_stack = workspace.stacks(shape, live.size)
-        self.plan.scatter_p.scatter_stacks(
-            qp, qp_stack.diag, qp_stack.lower, qp_stack.arrow, qp_stack.tip
-        )
+            qc_stack = workspace.qc_stack(shape, t)
+
+        def scatter_qp() -> BTAStack:
+            if workspace is None:
+                qp_stack = BTAStack.zeros(shape, t, backend=be)
+            else:
+                qp_stack = workspace.qp_stack(shape, t)
+            self.plan.scatter_p.scatter_stacks(
+                qp, qp_stack.diag, qp_stack.lower, qp_stack.arrow, qp_stack.tip
+            )
+            return qp_stack
+
         self.plan.scatter_c.scatter_stacks(
             qc, qc_stack.diag, qc_stack.lower, qc_stack.arrow, qc_stack.tip
         )
         return BatchAssembledSystem(
             thetas=thetas,
             feasible=live,
-            qp=qp_stack,
             qc=qc_stack,
             rhs=self.plan.permute_rhs(rhs_var),
             taus=taus[live],
             qp_values=qp,
             _plan=self.plan,
+            _qp=scatter_qp,
         )
+
+    def prior_logdets(self, thetas: np.ndarray, memo: PriorLogdetMemo | None = None) -> np.ndarray:
+        """``log|Qp|`` for a ``(t, dim)`` theta stack, from the LMC identity.
+
+        ``Qp = (M (x) I)^T blkdiag(Q_k / sigma_k^2) (M (x) I)`` with ``M``
+        unit lower-triangular (:mod:`repro.coreg.lmc`), so ``det M = 1``
+        and::
+
+            log|Qp| = sum_k [ log|Q_st,k| + nr log(eps)
+                              - (ns nt + nr) log(sigma_k^2) ]
+
+        ``Q_st,k`` is process ``k``'s unit-variance SPDE precision — a BT
+        matrix (``n = nt``, ``b = ns``, ``a = 0``) depending only on its
+        two range coordinates.  The distinct ``(k, range_k)`` keys not in
+        ``memo`` are factorized in ONE ``factorize_batch`` sweep (one
+        :data:`~repro.structured.pobtaf.FACTORIZATIONS` count; none when
+        every key is memoized) and stored in it; the couplings and noise
+        precisions never enter.  Each process term is bit-identical
+        whether it came from the memo or a cold sweep of any width (the
+        ``factorize_batch`` per-lane contract), and the per-process sum
+        runs in the fixed order ``k = 0 .. nv - 1``.  Rows with a
+        non-finite theta, an infeasible range or a non-positive-definite
+        ``Q_st,k`` are ``nan``.
+        """
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim == 1:
+            thetas = thetas[None, :]
+        t, nv = thetas.shape[0], self.nv
+        log_ranges = thetas[:, self.plan._range_cols]  # (t, nv, 2)
+        live = np.flatnonzero(np.isfinite(thetas).all(axis=1))
+        keys = [[(k, log_ranges[i, k].tobytes()) for k in range(nv)] for i in live]
+        found: dict = {}
+        missing: dict = {}  # key -> log ranges, in first-seen order
+        for row, i in zip(keys, live):
+            for k, key in enumerate(row):
+                if key in found or key in missing:
+                    continue
+                value = memo.get(key) if memo is not None else None
+                if value is None:
+                    missing[key] = log_ranges[i, k]
+                else:
+                    found[key] = value
+        if missing:
+            found.update(zip(missing, self._process_logdets(np.stack(list(missing.values())))))
+            if memo is not None:
+                for key in missing:
+                    if np.isfinite(found[key]):
+                        memo.put(key, found[key])
+
+        out = np.full(t, np.nan)
+        if live.size:
+            per_process = np.array([[found[key] for key in row] for row in keys])
+            log_sigma2 = 2.0 * thetas[live][:, self.layout.sigma_slice()]
+            fixed = self.nr * np.log(self.eps_fixed)
+            n_k = self.ns * self.nt + self.nr
+            total = np.zeros(live.size)
+            for k in range(nv):
+                total += per_process[:, k] + fixed - n_k * log_sigma2[:, k]
+            out[live] = total
+        return out
+
+    def _process_logdets(self, log_ranges: np.ndarray) -> np.ndarray:
+        """``log|Q_st|`` for an ``(m, 2)`` stack of log ranges (``nan`` where
+        infeasible or not positive definite): one batched sweep, resolved
+        lane by lane only if the sweep fails."""
+        with np.errstate(all="ignore"):
+            ranges = np.exp(log_ranges)
+        c_st, ok = self.spde.term_coefficient_stack(ranges[:, 0], ranges[:, 1])
+        out = np.full(log_ranges.shape[0], np.nan)
+        lanes = np.flatnonzero(ok)
+        if lanes.size == 0:
+            return out
+        try:
+            stack = self.plan.univariate_stack(c_st[lanes])
+            out[lanes] = factorize_batch(stack, overwrite=True).logdets()
+        except NotPositiveDefiniteError:
+            if lanes.size == 1:
+                return out
+            for j in lanes:
+                out[j] = self._process_logdets(log_ranges[j : j + 1])[0]
+        return out
 
     def assemble_sparse(self, theta: np.ndarray) -> tuple:
         """Variable-major sparse assembly ``(Qp, Qc, rhs, taus)``.
@@ -861,11 +1066,11 @@ class CoregionalSTModel:
         )
         return AssembledSystem(
             theta=theta,
-            qp=qp_bta,
             qc=qc_bta,
             qp_csr=qp_perm,
             rhs=rhs,
             taus=taus,
+            _qp=qp_bta,
         )
 
     # -- posterior helpers ---------------------------------------------------

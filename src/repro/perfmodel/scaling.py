@@ -154,7 +154,14 @@ class DaliaPerfModel:
         return self.machine.stream_time(nbytes) + 60 * self.machine.launch_overhead_s
 
     def eval_time(self, shape: ModelShape, *, s2: int = 1, s3: int = 1, lb: float = 1.6) -> float:
-        """One objective evaluation (Qp and Qc paths, S2-concurrent)."""
+        """One objective evaluation (Qp and Qc paths, S2-concurrent).
+
+        This prices the paper's evaluation, which factorizes the joint
+        ``Qp`` as it does ``Qc``; the code in this package instead pays
+        ``nv`` univariate ``(nt, ns)`` factorizations for ``log|Qp|``
+        (fewer still when memoized, see
+        :meth:`repro.model.assembler.CoregionalSTModel.prior_logdets`).
+        """
         t_qp = self.factorization_time(shape, s3, lb=lb)
         t_qc = self.factorization_time(shape, s3, lb=lb) + self.solve_time(shape, s3, lb=lb)
         t_solver = max(t_qp, t_qc) if s2 >= 2 else t_qp + t_qc
@@ -164,9 +171,10 @@ class DaliaPerfModel:
         """Link cost of one theta-batched stencil wave on this machine.
 
         ``t`` defaults to the full stencil width ``nfeval``.  The profile
-        (one H2D RHS stack, three D2H result stacks) is the one the mock
-        device backend measures; charging it makes the offload decision
-        transfer-aware — for the paper's models it is microseconds
+        (one H2D RHS stack, three D2H result stacks) is the paper's
+        pipeline, which the mock device backend measures with one
+        log-determinant stack fewer; charging it makes the offload
+        decision transfer-aware — for the paper's models it is microseconds
         against second-scale factorizations, which is why the pipeline
         keeps everything device-resident between crossings.
         """

@@ -75,20 +75,23 @@ class TransferProfile:
         return cls(stats.h2d_calls, stats.h2d_bytes, stats.d2h_calls, stats.d2h_bytes)
 
 
-def stencil_batch_profile(N: int, t: int) -> TransferProfile:
+def stencil_batch_profile(N: int, t: int, *, logdet_stacks: int = 2) -> TransferProfile:
     """One theta-batched stencil sweep over ``t`` feasible points.
 
     With assembly, factorization, and sweeps all on the device, exactly
     one H2D crossing remains — the ``(t, N)`` conditional-mean RHS stack
-    entering ``solve_each`` — and three D2H crossings in the Eq. 8
-    epilogue: the ``(t, N)`` mean stack and the two ``(t,)``
-    log-determinant stacks.
+    entering ``solve_each`` — and the D2H crossings of the Eq. 8
+    epilogue: the ``(t, N)`` mean stack and ``logdet_stacks`` ``(t,)``
+    log-determinant stacks.  Two is the paper's pipeline (``Qp`` and
+    ``Qc`` both factorized on the device); this package's evaluator reads
+    back one, since its prior log-determinants come from host-side
+    univariate factorizations (``CoregionalSTModel.prior_logdets``).
     """
     return TransferProfile(
         h2d_calls=1,
         h2d_bytes=t * N * _F64,
-        d2h_calls=3,
-        d2h_bytes=t * N * _F64 + 2 * t * _F64,
+        d2h_calls=1 + logdet_stacks,
+        d2h_bytes=t * N * _F64 + logdet_stacks * t * _F64,
     )
 
 

@@ -2,10 +2,12 @@
 
 The batch path must reproduce the per-point stencil values exactly (it
 runs the same per-slab kernels through ``factorize_batch``), collapse the
-stencil's ``2 (2 d + 1)`` factorization sweeps into 2, fall back to the
-per-point path for infeasible batches, and never bypass subclassed
-engines.  The LRU must serve revisited thetas with zero assemblies and
-zero sweeps — the BFGS line-search / gradient-center pattern.
+stencil's ``2 d + 1`` ``Qc`` factorizations into one sweep (plus at most
+one univariate prior sweep for the ranges the prior memo has not seen),
+fall back to the per-point path for infeasible batches, and never bypass
+subclassed engines.  The LRU must serve revisited thetas with zero
+assemblies and zero sweeps — the BFGS line-search / gradient-center
+pattern.
 
 These tests run under both ``REPRO_BATCHED`` settings in CI (the batch
 path is forced explicitly, the per-point reference follows the
@@ -52,12 +54,15 @@ class TestBatchedStencilValues:
         assert np.max(np.abs(g_b - g_p)) < 1e-10 / (2 * h) * max(1.0, np.max(np.abs(g_p)))
 
     def test_result_decomposition_identical(self, uni_model):
-        """Every Eq. 8 term of every stencil point matches, not just the sum."""
+        """Every Eq. 8 term of every stencil point matches, not just the
+        sum; ``log|Qp|`` has one definition on both paths, so it matches
+        bit for bit."""
         model, gt = uni_model
         ev_b, ev_p = _evaluators(model)
         pts = ev_b.gradient_stencil(gt.theta, 1e-4)
         for rb, rp in zip(ev_b.eval_batch(pts), ev_p.eval_batch(pts)):
-            for attr in ("value", "log_likelihood", "logdet_qp", "logdet_qc", "quad_qp"):
+            assert rb.logdet_qp == rp.logdet_qp
+            for attr in ("value", "log_likelihood", "logdet_qc", "quad_qp"):
                 vb, vp = getattr(rb, attr), getattr(rp, attr)
                 assert abs(vb - vp) <= 1e-10 * max(1.0, abs(vp)), attr
 
@@ -108,25 +113,36 @@ class TestBatchedStencilValues:
 class TestSweepAccounting:
     def test_chunked_sweep_matches_and_counts(self, uni_model, monkeypatch):
         """Hessian-sized batches sweep in chunks (bounded theta-stack
-        memory): values unchanged, two sweeps per chunk."""
+        memory): values unchanged, one Qc sweep per chunk, and a prior
+        sweep only for chunks that bring unseen ranges."""
         import repro.inla.evaluator as ev_mod
 
         monkeypatch.setattr(ev_mod, "_BATCH_SWEEP_CHUNK", 3)
         model, gt = uni_model
         ev_b, ev_p = _evaluators(model)
         pts = ev_b.gradient_stencil(gt.theta, 1e-4)  # 9 points -> 3 chunks
+        c0 = FACTORIZATIONS.count
         res_b = ev_b.eval_batch(list(pts))
+        # Chunks (+-tau, +rs), (-rs, +-rt), (+-sigma, center): the last
+        # one's ranges were all seen by the first two.
+        assert FACTORIZATIONS.count == c0 + 3 + 2
         res_p = ev_p.eval_batch(list(pts))
         for rb, rp in zip(res_b, res_p):
             assert abs(rb.value - rp.value) < 1e-10 * max(1.0, abs(rp.value))
-        assert ev_b.n_batch_sweeps == 6
+        assert ev_b.n_batch_sweeps == 3
 
     def test_two_sweeps_per_stencil(self, uni_model):
+        """A cold stencil: one univariate prior sweep for every range it
+        touches plus one Qc sweep.  Repeating it (results uncached)
+        finds every range in the prior memo: the Qc sweep alone."""
         model, gt = uni_model
         ev, _ = _evaluators(model)
         c0 = FACTORIZATIONS.count
         ev.value_and_gradient(gt.theta)
-        assert FACTORIZATIONS.count == c0 + 2  # one batched sweep per matrix
+        assert FACTORIZATIONS.count == c0 + 2
+        assert ev.n_batch_sweeps == 1
+        ev.value_and_gradient(gt.theta)
+        assert FACTORIZATIONS.count == c0 + 3
         assert ev.n_batch_sweeps == 2
 
     def test_distributed_solver_keeps_per_point_path(self, uni_model):
@@ -170,7 +186,9 @@ class TestThetaKeyedLRU:
         center = ev(gt.theta)  # the line-search evaluation
         c0 = FACTORIZATIONS.count
         f0, _, res = ev.value_and_gradient(gt.theta)
-        assert FACTORIZATIONS.count == c0 + 2  # the 2d points, two sweeps
+        # The 2d points: one prior sweep for the four displaced ranges,
+        # one Qc sweep.
+        assert FACTORIZATIONS.count == c0 + 2
         assert res is center
         assert f0 == center.value
 
@@ -196,8 +214,8 @@ class TestThetaKeyedLRU:
         c0 = FACTORIZATIONS.count
         ev(gt.theta + 0.03)  # still cached (most recent)
         assert FACTORIZATIONS.count == c0
-        ev(gt.theta)  # evicted -> re-evaluates
-        assert FACTORIZATIONS.count == c0 + 2
+        ev(gt.theta)  # evicted -> re-evaluates Qc; its ranges are memoized
+        assert FACTORIZATIONS.count == c0 + 1
 
     def test_cache_disabled(self, uni_model):
         model, gt = uni_model
@@ -205,7 +223,7 @@ class TestThetaKeyedLRU:
         ev(gt.theta)
         c0 = FACTORIZATIONS.count
         ev(gt.theta)
-        assert FACTORIZATIONS.count == c0 + 2
+        assert FACTORIZATIONS.count == c0 + 1  # Qc only: the prior memo hits
         assert ev.n_cache_hits == 0
 
     def test_clear_cache(self, uni_model):
@@ -215,7 +233,7 @@ class TestThetaKeyedLRU:
         ev.clear_cache()
         c0 = FACTORIZATIONS.count
         ev(gt.theta)
-        assert FACTORIZATIONS.count == c0 + 2
+        assert FACTORIZATIONS.count == c0 + 1  # results cleared, prior memo kept
 
 
 class TestModeFactorReuse:

@@ -90,17 +90,22 @@ class TestLockstepMatchesSerial:
             for attr in DECOMP:
                 assert getattr(rb, attr) == getattr(rs, attr), attr
         else:
+            # log|Qp| is host-side on every backend: still bit-identical.
+            assert rb.logdet_qp == rs.logdet_qp
             for attr in DECOMP:
                 vb, vs = getattr(rb, attr), getattr(rs, attr)
                 assert abs(vb - vs) <= 1e-10 * max(1.0, abs(vs)), attr
             np.testing.assert_allclose(rb.mu_perm, rs.mu_perm, atol=1e-10)
 
     def test_stencil_close_to_serial(self, poisson_case, env_cell):
+        """Every term 1e-10-close; ``log|Qp|`` (one definition, per-lane
+        bit-identical sweeps) exactly equal."""
         model, gt, lik = poisson_case
         pts = _stencil(gt.theta)
         batch = evaluate_fobj_nongaussian_batch(model, pts, lik)
         for rb, th in zip(batch, pts):
             rs = evaluate_fobj_nongaussian(model, th, lik)
+            assert rb.logdet_qp == rs.logdet_qp
             for attr in DECOMP:
                 vb, vs = getattr(rb, attr), getattr(rs, attr)
                 assert abs(vb - vs) <= 1e-10 * max(1.0, abs(vs)), attr

@@ -107,23 +107,33 @@ class TestObjectiveExactness:
 
 
 class TestFactorizationCount:
-    """The handle rewiring's amortization contract, asserted exactly."""
+    """The prior identity's and the handle's amortization contract,
+    asserted exactly."""
 
-    def test_one_pobtaf_per_matrix_per_theta(self, tiny_uni_model):
-        """One objective evaluation = exactly 2 pobtafs (Qp and Qc):
-        the Qc handle shares one factorization between logdet and the
-        conditional-mean solve."""
+    def test_one_qc_pobtaf_per_theta(self, tiny_uni_model, tiny_model):
+        """A cold objective evaluation = exactly 2 sweeps: one batched
+        univariate prior sweep covering all ``nv`` processes, and one Qc
+        pobtaf shared by logdet and the conditional-mean solve.  With the
+        processes' ranges memoized, only the Qc pobtaf remains."""
+        from repro.model.assembler import PriorLogdetMemo
         from repro.structured.pobtaf import FACTORIZATIONS
 
-        model, gt, _ = tiny_uni_model
-        c0 = FACTORIZATIONS.count
-        evaluate_fobj(model, gt.theta, solver=SequentialSolver())
-        assert FACTORIZATIONS.count == c0 + 2
+        for model, gt, _ in (tiny_uni_model, tiny_model):
+            memo = PriorLogdetMemo()
+            c0 = FACTORIZATIONS.count
+            evaluate_fobj(model, gt.theta, solver=SequentialSolver(), prior_memo=memo)
+            assert FACTORIZATIONS.count == c0 + 2
+            assert len(memo) == model.nv
+            tau_moved = gt.theta.copy()
+            tau_moved[0] += 0.1
+            evaluate_fobj(model, tau_moved, solver=SequentialSolver(), prior_memo=memo)
+            assert FACTORIZATIONS.count == c0 + 3  # ranges unchanged: Qc only
 
     def test_evaluator_batch_count_per_point(self, tiny_uni_model):
         """On the per-point path a full gradient stencil (2d + 1 points)
-        factorizes exactly 2 (2d + 1) times — one pobtaf per
-        (theta, matrix) pair."""
+        factorizes Qc 2d + 1 times, plus one univariate prior sweep for
+        each point that brings an unseen range: the first point (center
+        ranges) and the four points displacing a range coordinate."""
         from repro.inla.evaluator import FobjEvaluator
         from repro.structured.pobtaf import FACTORIZATIONS
 
@@ -134,11 +144,11 @@ class TestFactorizationCount:
         d = gt.theta.size
         c0 = FACTORIZATIONS.count
         ev.value_and_gradient(gt.theta, h=1e-4)
-        assert FACTORIZATIONS.count == c0 + 2 * (2 * d + 1)
+        assert FACTORIZATIONS.count == c0 + (2 * d + 1) + (1 + 2 * 2)
 
     def test_evaluator_batch_count_theta_batched(self, tiny_uni_model):
-        """The theta-batched sweep collapses the whole stencil into
-        exactly 2 factorization sweeps (one per precision matrix)."""
+        """The theta-batched sweep collapses the whole stencil into one Qc
+        sweep plus one univariate prior sweep over its distinct ranges."""
         from repro.inla.evaluator import FobjEvaluator
         from repro.structured.pobtaf import FACTORIZATIONS
 
@@ -149,7 +159,7 @@ class TestFactorizationCount:
         c0 = FACTORIZATIONS.count
         ev.value_and_gradient(gt.theta, h=1e-4)
         assert FACTORIZATIONS.count == c0 + 2
-        assert ev.n_batch_sweeps == 2
+        assert ev.n_batch_sweeps == 1
 
     def test_marginals_single_factorization(self, tiny_uni_model):
         """Means + variances at the mode: one pobtaf, not two."""

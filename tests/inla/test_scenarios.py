@@ -54,6 +54,7 @@ def _assert_matches_serial(results, cells, *, exact=True):
     for r, sc in zip(results, cells):
         ref = evaluate_fobj_nongaussian(sc.model, sc.theta, sc.likelihood)
         assert r.ok and r.converged
+        assert r.result.logdet_qp == ref.logdet_qp  # one definition of log|Qp|
         for attr in DECOMP:
             got, want = getattr(r.result, attr), getattr(ref, attr)
             if exact:

@@ -170,7 +170,7 @@ class TestNoSparseOpsInHotLoop:
         monkeypatch.setattr(sp.csr_matrix, "multiply", boom)
         f0, grad, _ = ev.value_and_gradient(gt.theta)
         assert np.isfinite(f0) and np.all(np.isfinite(grad))
-        assert ev.n_batch_sweeps == 2
+        assert ev.n_batch_sweeps == 1  # one Qc sweep (the prior needs none)
 
     def test_looped_assemble_runs_no_kron_or_csr_add(self, models, monkeypatch):
         """The rewritten t = 1 assemble is sparse-arithmetic-free too."""

@@ -11,7 +11,6 @@ shows up here as a count mismatch before it ever costs wall time on a
 GPU.
 """
 
-import numpy as np
 import pytest
 
 from repro.backend.mock import MOCK_DEVICE_BACKEND
@@ -89,8 +88,9 @@ class TestProfilesMatchMeasurement:
 
     def test_stencil_batch(self, be, monkeypatch, tiny_uni_model):
         """The full theta-batched objective sweep: one H2D (the RHS
-        stack) + three D2H (mean stack, two logdet stacks) — everything
-        else stays device-resident between assembly and epilogue."""
+        stack) + two D2H (mean stack, Qc logdet stack; the prior
+        log-determinants are host-side) — everything else stays
+        device-resident between assembly and epilogue."""
         from repro.inla.evaluator import FobjEvaluator
 
         model, gt, _ = tiny_uni_model
@@ -99,7 +99,7 @@ class TestProfilesMatchMeasurement:
         be.transfers.reset()
         ev.value_and_gradient(gt.theta, h=1e-4)
         t = 2 * model.layout.dim + 1  # full central-difference stencil
-        assert _measured(be) == stencil_batch_profile(model.N, t)
+        assert _measured(be) == stencil_batch_profile(model.N, t, logdet_stacks=1)
 
 
 class TestMachineTransferTime:
