@@ -5,7 +5,8 @@
 - :mod:`repro.inla.solvers` — structured-solver dispatch: sequential BTA
   kernels or the distributed (S3) nested-dissection path;
 - :mod:`repro.inla.evaluator` — parallel batched ``fobj`` evaluations
-  (strategy S1) with optional concurrent ``Qp``/``Qc`` factorization (S2);
+  (strategy S1), with the option of computing ``log|Qp|`` (per-process
+  prior factorizations) concurrently with the ``Qc`` factorization (S2);
 - :mod:`repro.inla.bfgs` — quasi-Newton optimization with
   central-difference gradients (Eq. 9/10);
 - :mod:`repro.inla.hessian` — finite-difference Hessian at the mode;
@@ -13,8 +14,6 @@
   and of the latent field (selected inversion);
 - :mod:`repro.inla.nongaussian` — general likelihoods via the batched
   Laplace (inner Newton) approximation;
-- :mod:`repro.inla.scenarios` — scenario grids sharing batched sweeps
-  across model x likelihood cells;
 - :mod:`repro.inla.dalia` — the :class:`DALIA` front-end tying it all
   together.
 """
@@ -37,7 +36,6 @@ from repro.inla.nongaussian import (
     gaussian_approximation_batch,
 )
 from repro.inla.sampling import LatentPosterior
-from repro.inla.scenarios import Scenario, ScenarioResult, evaluate_scenario_grid
 from repro.inla.smart_gradient import SmartGradient
 
 __all__ = [
@@ -54,9 +52,6 @@ __all__ = [
     "gaussian_approximation",
     "gaussian_approximation_batch",
     "NonGaussianFobjEvaluator",
-    "Scenario",
-    "ScenarioResult",
-    "evaluate_scenario_grid",
     "StructuredSolver",
     "SequentialSolver",
     "DistributedSolver",

@@ -453,10 +453,11 @@ class NonGaussianFobjEvaluator(FobjEvaluator):
       active theta
       (:func:`~repro.inla.nongaussian.evaluate_fobj_nongaussian_batch`).
 
-    A theta-keyed **warm-start cache** of permuted modes feeds both
-    paths: line-search revisits and neighbouring stencil points start
-    their Newton loop at the previous ``x*`` instead of zero, which cuts
-    the inner iteration count to a handful after the first evaluation.
+    A **warm-start cache** of permuted modes feeds both paths.  It is
+    keyed by the exact bytes of theta, so only an exact revisit of a
+    theta (the accepted line-search point re-entering as the next
+    stencil centre) starts its Newton loop at the previous ``x*``; every
+    other point, neighbouring stencil points included, starts from zero.
     Stencil batches never retain factorization handles (mirroring the
     Gaussian policy); the single-point path does, bounded by
     ``cached_factors``.

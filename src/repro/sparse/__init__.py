@@ -2,8 +2,9 @@
 
 Three pieces:
 
-- :mod:`repro.sparse.kron` — sums of sparse Kronecker products, the form
-  every spatio-temporal SPDE precision takes (paper Sec. IV-F);
+- :mod:`repro.sparse.align` — canonical CSR normalization and the
+  scatter of sub-pattern matrices onto one fixed reference pattern, so
+  re-assembled precisions always share the plans' sparsity;
 - :mod:`repro.sparse.permutation` — precomputed symmetric permutations
   applied directly to CSR data arrays, so the coregional reordering
   (paper Sec. IV-B1) costs ``O(nnz)`` per objective evaluation with no
@@ -13,13 +14,10 @@ Three pieces:
   NumPy equivalent of the paper's custom CUDA kernels (Sec. IV-F).
 """
 
-from repro.sparse.kron import kron_csr, kron_sum
 from repro.sparse.mapping import BTAMapping
 from repro.sparse.permutation import SymmetricPermutation, time_major_permutation
 
 __all__ = [
-    "kron_csr",
-    "kron_sum",
     "BTAMapping",
     "SymmetricPermutation",
     "time_major_permutation",

@@ -15,13 +15,11 @@ most tridiagonal) and spatial operator powers ``q_k`` of
 ordering the three Kronecker terms are all block-tridiagonal with
 ``ns x ns`` blocks — the BT pattern of paper Fig. 2a.
 
-Because the temporal pattern is fixed and only ``(gamma_s, gamma_t,
-gamma_e)`` change between objective evaluations, the class precomputes a
-:class:`repro.sparse.kron.KronSumPattern` per ``gamma_s`` grid... no — the
-spatial operators themselves depend on ``gamma_s``, so the q_k must be
-re-formed; what *is* reused is the FEM matrices and the union sparsity
-pattern (identical for every ``gamma_s > 0``), keeping re-assembly
-``O(nnz)``.
+Only ``(gamma_s, gamma_t, gamma_e)`` change between objective
+evaluations.  The spatial operators ``q_k`` depend on ``gamma_s``, so
+they are re-formed each time; what is reused is the FEM matrices and the
+union sparsity pattern (identical for every ``gamma_s > 0``), which
+keeps re-assembly ``O(nnz)``.
 """
 
 from __future__ import annotations

@@ -10,15 +10,20 @@ across the ``REPRO_BATCHED`` x ``REPRO_BACKEND`` grid:
   :func:`repro.inla.objective.evaluate_fobj`;
 - a warm gradient stencil performs ZERO scipy-sparse arithmetic
   (the symbolic curvature plan owns the ``A^T D A`` update);
+- a batched NPD inside the Newton loop or in the final re-linearization
+  reroutes every affected lane, and each still equals the serial path
+  bit for bit;
 - Binomial likelihood derivatives check out by finite differences, and
-  invalid (negative) curvature is rejected, not silently factorized.
+  invalid (negative) curvature is rejected, not silently factorized;
+- the :class:`~repro.inla.dalia.DALIA` front-end fits and serves a
+  posterior through the same engine when given ``likelihood=``.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.inla import evaluate_fobj
+from repro.inla import evaluate_fobj, nongaussian
 from repro.inla.evaluator import NonGaussianFobjEvaluator
 from repro.inla.nongaussian import (
     BinomialLikelihood,
@@ -128,6 +133,64 @@ class TestLockstepMatchesSerial:
         out = evaluate_fobj_nongaussian_batch(model, np.stack([gt.theta, bad]), lik)
         assert np.isfinite(out[0].value)
         assert out[1].value == -np.inf
+
+
+class TestLockstepNpdFallbacks:
+    """A batched Cholesky cannot name the failing lane, so a batched NPD
+    reroutes lanes onto paths that can: a failure inside the Newton loop
+    restarts every active lane on the serial loop, and one in the final
+    re-linearization rebuilds each lane's factor on its own.  Rigging
+    ``factorize_batch`` to raise on an SPD problem reaches both branches;
+    every lane must still equal the serial path bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _host_batched(self, monkeypatch):
+        # Bit-identity is a same-backend contract (see test_t1_bit_identical).
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_BATCHED", "1")
+
+    @staticmethod
+    def _stencil_with_failure(poisson_case, monkeypatch, fail_on):
+        model, gt, lik = poisson_case
+        real = nongaussian.factorize_batch
+        n_calls = 0
+
+        def rigged(stack, **kwargs):
+            nonlocal n_calls
+            n_calls += 1
+            if n_calls == fail_on:
+                raise NotPositiveDefiniteError("rigged batched NPD")
+            return real(stack, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(nongaussian, "factorize_batch", rigged)
+            out = evaluate_fobj_nongaussian_batch(model, _stencil(gt.theta), lik)
+        return out, n_calls
+
+    def _assert_bit_identical_to_serial(self, poisson_case, out):
+        model, gt, lik = poisson_case
+        pts = _stencil(gt.theta)
+        assert len(out) == len(pts)
+        for rb, th in zip(out, pts):
+            rs = evaluate_fobj_nongaussian(model, th, lik)
+            assert np.isfinite(rs.value)
+            for attr in DECOMP:
+                assert getattr(rb, attr) == getattr(rs, attr), attr
+            assert np.array_equal(rb.mu_perm, rs.mu_perm)
+            assert rb.qc_factor is not None
+
+    def test_npd_in_newton_loop_restarts_lanes_serially(self, poisson_case, monkeypatch):
+        out, n_calls = self._stencil_with_failure(poisson_case, monkeypatch, fail_on=1)
+        # Every lane finished on the serial loop, which also built its
+        # factor, so no final batched re-linearization ran.
+        assert n_calls == 1
+        self._assert_bit_identical_to_serial(poisson_case, out)
+
+    def test_npd_in_final_relinearization_rebuilds_lanes(self, poisson_case, monkeypatch):
+        _, n_total = self._stencil_with_failure(poisson_case, monkeypatch, fail_on=None)
+        out, n_calls = self._stencil_with_failure(poisson_case, monkeypatch, fail_on=n_total)
+        assert n_calls == n_total > 1
+        self._assert_bit_identical_to_serial(poisson_case, out)
 
 
 class TestGaussianSpecialCase:
@@ -314,3 +377,39 @@ class TestNonGaussianEvaluator:
         model, _, lik = poisson_case
         with pytest.raises(ValueError):
             NonGaussianFobjEvaluator(model, lik, solver=SequentialSolver())
+
+
+class TestDaliaIntegration:
+    @pytest.fixture(scope="class")
+    def fitted(self, poisson_case):
+        from repro.inla.bfgs import BFGSOptions
+        from repro.inla.dalia import DALIA
+
+        model, gt, lik = poisson_case
+        engine = DALIA(model, likelihood=lik)
+        result = engine.fit(gt.theta, options=BFGSOptions(max_iter=3))
+        return engine, result
+
+    def test_fit_runs_on_batched_engine(self, fitted):
+        from repro.backend.array_module import batched_enabled
+        from repro.backend.protocol import get_backend
+
+        engine, result = fitted
+        assert np.isfinite(result.fobj_mode)
+        if batched_enabled(None, get_backend()):
+            assert engine.evaluator.n_batch_sweeps >= 1
+        assert np.all(np.isfinite(result.latent.mean))
+
+    def test_posterior_mode_reuse_and_cold_rebuild(self, fitted):
+        engine, result = fitted
+        warm = engine.posterior()
+        cold = engine._nongaussian_posterior(result.theta_mode)
+        np.testing.assert_allclose(warm.mu_perm, cold.mu_perm, atol=1e-8)
+
+    def test_rejects_explicit_solver(self, poisson_case):
+        from repro.inla.dalia import DALIA
+        from repro.inla.solvers import SequentialSolver
+
+        model, _, lik = poisson_case
+        with pytest.raises(ValueError):
+            DALIA(model, likelihood=lik, solver=SequentialSolver())

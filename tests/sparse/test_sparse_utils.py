@@ -1,4 +1,4 @@
-"""Sparse utilities: Kronecker sums, permutations, BTA mapping, alignment."""
+"""Sparse utilities: permutations, BTA mapping, alignment."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse.align import PatternAligner
-from repro.sparse.kron import KronSumPattern, kron_csr, kron_sum
 from repro.sparse.mapping import BTAMapping
 from repro.sparse.permutation import SymmetricPermutation, time_major_permutation
 from repro.structured.bta import BTAShape
@@ -15,48 +14,6 @@ from repro.structured.bta import BTAShape
 def _rand_sparse(rng, n, density=0.3):
     M = sp.random(n, n, density=density, random_state=np.random.RandomState(rng.integers(2**31)))
     return sp.csr_matrix(M + sp.identity(n))
-
-
-class TestKron:
-    def test_kron_matches_dense(self, rng):
-        T = _rand_sparse(rng, 3)
-        S = _rand_sparse(rng, 4)
-        assert np.allclose(kron_csr(T, S).toarray(), np.kron(T.toarray(), S.toarray()))
-
-    def test_kron_sum(self, rng):
-        T1, S1 = _rand_sparse(rng, 3), _rand_sparse(rng, 4)
-        T2, S2 = _rand_sparse(rng, 3), _rand_sparse(rng, 4)
-        out = kron_sum([(2.0, T1, S1), (-0.5, T2, S2)])
-        ref = 2.0 * np.kron(T1.toarray(), S1.toarray()) - 0.5 * np.kron(T2.toarray(), S2.toarray())
-        assert np.allclose(out.toarray(), ref)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kron_sum([])
-
-    def test_kron_sum_pattern_reassembly(self, rng):
-        T1, S1 = _rand_sparse(rng, 3), _rand_sparse(rng, 5)
-        T2, S2 = _rand_sparse(rng, 3), _rand_sparse(rng, 5)
-        pat = KronSumPattern([(T1, S1), (T2, S2)])
-        for c1, c2 in [(1.0, 1.0), (0.3, -2.0), (0.0, 5.0)]:
-            out = pat.assemble([c1, c2])
-            ref = c1 * np.kron(T1.toarray(), S1.toarray()) + c2 * np.kron(
-                T2.toarray(), S2.toarray()
-            )
-            assert np.allclose(out.toarray(), ref)
-
-    def test_kron_sum_pattern_inplace_reuse(self, rng):
-        T, S = _rand_sparse(rng, 2), _rand_sparse(rng, 3)
-        pat = KronSumPattern([(T, S)])
-        out1 = pat.assemble([1.0])
-        out2 = pat.assemble([2.0], out=out1)
-        assert out2 is out1
-        assert np.allclose(out2.toarray(), 2.0 * np.kron(T.toarray(), S.toarray()))
-
-    def test_wrong_coeff_count(self, rng):
-        pat = KronSumPattern([(_rand_sparse(rng, 2), _rand_sparse(rng, 2))])
-        with pytest.raises(ValueError):
-            pat.assemble([1.0, 2.0])
 
 
 class TestSymmetricPermutation:

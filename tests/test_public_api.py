@@ -3,9 +3,18 @@
 Guards the api-redesign contract: every name in ``repro.__all__``
 resolves, the serving tier is reachable without deep module paths, and
 ``__all__`` is the single source of truth (no missing or stale entries).
+Every ``repro.<subpackage>.__all__`` is held to the same rule, so a
+deleted module cannot leave a dangling export behind.
 """
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+SUBPACKAGES = sorted(m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg)
 
 
 class TestPublicSurface:
@@ -55,3 +64,15 @@ class TestPublicSurface:
 
     def test_version(self):
         assert isinstance(repro.__version__, str) and repro.__version__
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_subpackage_all_resolves(name):
+    pkg = importlib.import_module(f"repro.{name}")
+    exports = pkg.__all__
+    assert len(set(exports)) == len(exports), "duplicate names in __all__"
+    for export in exports:
+        assert hasattr(pkg, export), f"repro.{name}.{export}"
+    ns: dict = {}
+    exec(f"from repro.{name} import *", ns)
+    assert {k for k in ns if not k.startswith("__")} == set(exports)
