@@ -1,4 +1,4 @@
-"""Ablation benchmarks for DALIA's design choices (DESIGN.md Sec. 5).
+"""Ablation benchmarks for DALIA's design choices (DESIGN.md, "Ablated design choices").
 
 The paper motivates three implementation decisions; each is ablated here
 against its naive alternative on the same inputs:

@@ -1,7 +1,7 @@
 """Fig. 8 / Sec. VI: the air-pollution application.
 
 Runs the full trivariate coregional pipeline on the synthetic CAMS-like
-dataset (paper substitutions documented in DESIGN.md) and checks the
+dataset (DESIGN.md, "Paper substitutions") and checks the
 paper's reported posterior structure:
 
 - elevation effects: negative for PM2.5 and PM10, positive for O3

@@ -2,9 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper.  Measured
 numbers come from real runs on this host; paper-scale series come from
-the calibrated performance model (see DESIGN.md, substitutions).  Each
-benchmark writes its series to ``benchmarks/results/<name>.txt`` so the
-paper-shape comparison in EXPERIMENTS.md can be refreshed.
+the calibrated performance model (see DESIGN.md, "Paper substitutions").
+Each benchmark writes its series to ``benchmarks/results/<name>.txt``,
+where the paper-shape comparison is read.
 """
 
 import pathlib

@@ -11,7 +11,7 @@ coregional spatio-temporal GP, then:
    5x finer grid (25-fold more spatial detail), the paper's Fig. 8.
 
 The CAMS reanalysis is replaced by a synthetic generator with the same
-structure and known ground truth (see DESIGN.md, substitutions).
+structure and known ground truth (see DESIGN.md, "Paper substitutions").
 
 Run:  python examples/air_pollution.py [--full]
       (--full uses the paper's AP1 dimensions; slow in pure NumPy)

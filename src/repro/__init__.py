@@ -21,7 +21,8 @@ directly — deep module paths stay available but are not needed):
   :class:`repro.baselines.INLADistEngine`;
 - scaling predictions: :mod:`repro.perfmodel`.
 
-See README.md for a quickstart and DESIGN.md for the full system map.
+See README.md for a quickstart and DESIGN.md ("System map") for which
+test pins each module.
 """
 
 __version__ = "1.2.0"

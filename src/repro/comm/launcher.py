@@ -17,8 +17,9 @@ Two entry points:
 - :class:`SpmdSession` — persistent workers for epoch reuse: the segment
   and the ``P`` processes stay up across many :meth:`SpmdSession.run`
   calls, and per-worker state survives between calls via
-  :func:`worker_store` (this is how ``ProcDistributedBTAFactor`` keeps
-  each rank's factor slices resident between factorize/solve epochs).
+  :func:`worker_store` (this is how a process-rank
+  ``DistributedBTAFactor`` from ``d_factorize_proc`` keeps each rank's
+  factor slices resident between factorize/solve epochs).
   Session jobs travel over pipes, so their functions must be module-level
   picklable regardless of start method.
 

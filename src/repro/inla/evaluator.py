@@ -215,7 +215,7 @@ class FobjEvaluator:
             return False
         if self.batch_stencils is not None:
             return self.batch_stencils
-        if not batched_enabled(None):
+        if not batched_enabled(None, get_backend()):
             return False
         # A backend with genuinely batched POTRF (mock device, CuPy) has
         # no dispatch-bound crossover: one fat launch beats t thin ones at

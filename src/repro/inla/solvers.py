@@ -44,7 +44,6 @@ from repro.structured.bta import BTAMatrix
 from repro.structured.factor import (
     BTAFactor,
     DistributedBTAFactor,
-    _run_spmd_spd,
     d_factorize,
     factorize,
 )
@@ -75,10 +74,6 @@ def _warn_one_shot(name: str, replacement: str) -> None:
         OneShotDeprecationWarning,
         stacklevel=3,
     )
-
-# Re-exported for the historical import path (the helper moved next to
-# the handles it guards).
-_run_spmd_spd = _run_spmd_spd
 
 
 class StructuredSolver(abc.ABC):

@@ -5,7 +5,8 @@ handful of thread-ranks.  The reproduction therefore measures real kernel
 times at feasible sizes, calibrates per-kernel efficiency, and combines
 analytic flop/byte/message counts with the modeled machine to predict
 paper-scale runtimes — preserving *scaling shapes* (speedups, crossover
-points, parallel efficiencies), which is what EXPERIMENTS.md compares.
+points, parallel efficiencies), which is what the figure benchmarks write
+to ``benchmarks/results/``.
 
 - :mod:`repro.perfmodel.flops` — exact flop counts of every structured
   kernel, per partition role (first vs. middle — the source of the load

@@ -24,16 +24,21 @@ package for the layering and the measured crossover.
 
 Sampling / smart-gradient workloads that drive many right-hand sides
 through one factor use the stacked multi-RHS interface of
-:mod:`repro.structured.multirhs` (``pobtas_stack`` / ``pobtas_lt_stack``
-/ ``d_pobtas_stack`` / ``d_pobtas_lt_stack``) so ``k`` right-hand sides
-cost one loop-carried pass, and the fused ``pobtasi_with_solve`` when
-means and marginal variances are needed from the same factor.
+:mod:`repro.structured.multirhs` (``pobtas_stack`` / ``pobtas_lt_stack``)
+so ``k`` right-hand sides cost one loop-carried pass, and the fused
+``pobtasi_with_solve`` when means and marginal variances are needed from
+the same factor.  The distributed sweeps run several stacks ("lanes")
+through one body and one collective round (``d_pobtas_lanes``), of which
+``d_pobtas`` / ``d_pobtas_lt`` are the one-lane case.
 
 Consumers that derive several quantities from one matrix should hold a
 **factorization handle** (:mod:`repro.structured.factor`):
 ``factorize(A)`` / ``d_factorize(A, P)`` run the factorization once and
 the returned :class:`BTAFactor` / :class:`DistributedBTAFactor` serves
-``logdet`` / solves / selected inversion / sampling from it.
+``logdet`` / solves / selected inversion / sampling from it.  The one
+distributed handle runs its ranks as threads (``d_factorize``) or as
+persistent worker processes (``factor.d_factorize_proc``), with
+bit-identical results.
 """
 
 from repro.structured.batched import batched_enabled
@@ -42,12 +47,7 @@ from repro.structured.partition import Partition, balanced_partitions, partition
 from repro.structured.pobtaf import FACTORIZATIONS, pobtaf
 from repro.structured.pobtas import pobtas, pobtas_lt
 from repro.structured.pobtasi import pobtasi, pobtasi_with_solve
-from repro.structured.multirhs import (
-    d_pobtas_lt_stack,
-    d_pobtas_stack,
-    pobtas_lt_stack,
-    pobtas_stack,
-)
+from repro.structured.multirhs import pobtas_lt_stack, pobtas_stack
 from repro.structured.factor import (
     BTAFactor,
     DistributedBTAFactor,
@@ -86,8 +86,6 @@ __all__ = [
     "d_pobtaf",
     "d_pobtas",
     "d_pobtas_lt",
-    "d_pobtas_stack",
-    "d_pobtas_lt_stack",
     "d_pobtasi",
     "d_pobtasi_diag",
     "ReducedSystem",

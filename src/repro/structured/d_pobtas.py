@@ -22,9 +22,17 @@ On the batched path the interior sweeps run as GEMMs against the cached
 tip delta, the top-boundary fill accumulation, and the back-propagation of
 the boundary/tip solutions) is hoisted out of the loop-carried chain into
 one batched ``einsum``/GEMM over the whole interior stack.
+
+Every distributed sweep runs through one body, :func:`d_pobtas_lanes`:
+it carries any number of independent right-hand-side panels ("lanes")
+through one collective round.  :func:`d_pobtas` and the backward-only
+:func:`d_pobtas_lt` are its one-lane case; the factor handle's stacked
+and multi-lane solves are its row-major clients.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -138,108 +146,7 @@ def d_pobtas(
         This rank's solution slice (same shape as ``rhs_local``) and the
         tip solution (identical on every rank).
     """
-    part, b, a = factors.part, factors.b, factors.a
-    nl = part.n_blocks
-    m = factors.n_interior
-    use_batched = batched_enabled(batched)
-
-    rhs_local = np.asarray(rhs_local, dtype=np.float64)
-    rhs_tip = np.asarray(rhs_tip, dtype=np.float64)
-    squeeze = rhs_local.ndim == 1
-    if rhs_local.shape[0] != nl * b:
-        raise ValueError(f"rhs_local leading dim {rhs_local.shape[0]} != {nl * b}")
-    r = np.array(rhs_local.reshape(nl * b, -1), copy=True)
-    k = r.shape[1]
-    rb = r.reshape(nl, b, k)
-    tip_delta = np.zeros((a, k))
-
-    # ---- forward: eliminate interior unknowns ---------------------------
-    if use_batched:
-        _forward_batched(factors, rb, tip_delta, a, m)
-    else:
-        _forward_blocked(factors, rb, tip_delta, a, m)
-
-    # ---- reduced right-hand side ----------------------------------------
-    if a:
-        tip_sum = comm.Allreduce(tip_delta)
-        rt = rhs_tip.reshape(a, -1) + tip_sum
-    else:
-        comm.Allreduce(tip_delta)  # keep the collective schedule uniform
-        rt = np.zeros((0, k))
-
-    r_red = _gather_reduced_rhs(factors, rb, rt, comm)
-
-    x_red = pobtas(factors.reduced_chol, r_red, batched=use_batched)
-
-    # ---- backward: recover interior unknowns -----------------------------
-    x = rb  # solve in place; boundary slots receive the reduced solution
-    x_tip = _scatter_reduced_solution(factors, x, x_red)
-
-    if use_batched:
-        _backward_batched(factors, x, x_tip, a, m)
-    else:
-        _backward_blocked(factors, x, x_tip, a, m)
-
-    x_local = x.reshape(nl * b, k)
-    if squeeze:
-        return x_local[:, 0], x_tip[:, 0]
-    return x_local, x_tip
-
-
-def _boundary_panels(factors: DistributedFactors, rb: np.ndarray) -> np.ndarray:
-    """This rank's boundary rows of ``rb`` (the Allgather payload)."""
-    pos_top, pos_bottom = factors.positions
-    if pos_top is None or pos_top == pos_bottom:
-        return rb[-1]
-    return np.concatenate([rb[0], rb[-1]], axis=0)
-
-
-def _reduced_from_gathered(
-    factors: DistributedFactors, gathered: list, rt: np.ndarray, k: int
-) -> np.ndarray:
-    """Scatter gathered boundary pieces into the ``(mr b + a, k)`` reduced RHS."""
-    b, a = factors.b, factors.a
-    mr = factors.reduced.m
-    r_red = np.zeros((mr * b + a, k))
-    for p, piece in enumerate(gathered):
-        top, bottom = factors.reduced.positions[p]
-        if top is None or top == bottom:
-            r_red[bottom * b : (bottom + 1) * b] = piece
-        else:
-            r_red[top * b : (top + 1) * b] = piece[:b]
-            r_red[bottom * b : (bottom + 1) * b] = piece[b:]
-    if a:
-        r_red[mr * b :] = rt
-    return r_red
-
-
-def _gather_reduced_rhs(
-    factors: DistributedFactors, rb: np.ndarray, rt: np.ndarray, comm: Communicator
-) -> np.ndarray:
-    """Allgather the per-rank boundary entries into the reduced RHS.
-
-    ``rb`` is this rank's ``(nl, b, k)`` right-hand-side panels (boundary
-    slots carry the boundary entries) and ``rt`` the ``(a, k)`` tip RHS
-    (identical on every rank).  One collective per call, whatever ``k``.
-    """
-    gathered = comm.Allgather(np.ascontiguousarray(_boundary_panels(factors, rb)))
-    return _reduced_from_gathered(factors, gathered, rt, rb.shape[-1])
-
-
-def _scatter_reduced_solution(
-    factors: DistributedFactors, x: np.ndarray, x_red: np.ndarray
-) -> np.ndarray:
-    """Place this rank's boundary slots from the reduced solution.
-
-    Writes the top/bottom boundary panels of ``x`` in place and returns
-    the ``(a, k)`` tip solution (identical on every rank).
-    """
-    b = factors.b
-    pos_top, pos_bottom = factors.positions
-    if pos_top is not None:
-        x[0] = x_red[pos_top * b : (pos_top + 1) * b]
-    x[-1] = x_red[pos_bottom * b : (pos_bottom + 1) * b]
-    return x_red[factors.reduced.m * b :]
+    return _one_lane(factors, rhs_local, rhs_tip, comm, lt=False, batched=batched)
 
 
 def d_pobtas_lt(
@@ -271,180 +178,136 @@ def d_pobtas_lt(
 
     Parameters mirror :func:`d_pobtas`; returns ``(x_local, x_tip)``.
     """
-    part, b, a = factors.part, factors.b, factors.a
-    nl = part.n_blocks
-    m = factors.n_interior
-    use_batched = batched_enabled(batched)
+    return _one_lane(factors, rhs_local, rhs_tip, comm, lt=True, batched=batched)
 
+
+def _one_lane(factors, rhs_local, rhs_tip, comm, *, lt: bool, batched) -> tuple:
+    """A vector or ``(nl b, k)`` panel through :func:`d_pobtas_lanes`."""
     rhs_local = np.asarray(rhs_local, dtype=np.float64)
-    rhs_tip = np.asarray(rhs_tip, dtype=np.float64)
-    squeeze = rhs_local.ndim == 1
-    if rhs_local.shape[0] != nl * b:
-        raise ValueError(f"rhs_local leading dim {rhs_local.shape[0]} != {nl * b}")
-    r = np.array(rhs_local.reshape(nl * b, -1), copy=True)
-    k = r.shape[1]
-    rb = r.reshape(nl, b, k)
-    rt = rhs_tip.reshape(a, -1) if a else np.zeros((0, k))
-
-    # ---- reduced system first: (L^T)[B, B] = L_red^T is the trailing
-    # block of the permuted upper-triangular system, so the boundary/tip
-    # unknowns close without any interior contribution.
-    r_red = _gather_reduced_rhs(factors, rb, rt, comm)
-    x_red = pobtas_lt(factors.reduced_chol, r_red, batched=use_batched)
-
-    # ---- interiors: pure local back-substitution against the boundary
-    # and tip solutions (no further collectives).
-    x = rb
-    x_tip = _scatter_reduced_solution(factors, x, x_red)
-    if use_batched:
-        _backward_batched(factors, x, x_tip, a, m)
-    else:
-        _backward_blocked(factors, x, x_tip, a, m)
-
-    x_local = x.reshape(nl * b, k)
-    if squeeze:
+    nl_b = factors.part.n_blocks * factors.b
+    if rhs_local.shape[0] != nl_b:
+        raise ValueError(f"rhs_local leading dim {rhs_local.shape[0]} != {nl_b}")
+    ((x_local, x_tip),) = d_pobtas_lanes(
+        factors, [rhs_local.reshape(nl_b, -1)], [rhs_tip], comm, lt=lt, batched=batched
+    )
+    if rhs_local.ndim == 1:
         return x_local[:, 0], x_tip[:, 0]
     return x_local, x_tip
 
 
-def _lane_views(rhs_local: np.ndarray, rhs_tip: np.ndarray, widths, nl_b: int, a: int):
-    """Split column-concatenated lanes back into per-lane contiguous copies.
-
-    Each lane is copied out at its *own* width: the GEMM panel shapes —
-    and therefore the floating-point bits — of every per-lane sweep then
-    match the standalone :func:`d_pobtas` call on that lane exactly,
-    which is the lanes contract the tests assert.
-    """
-    rhs_local = np.asarray(rhs_local, dtype=np.float64)
-    rhs_tip = np.asarray(rhs_tip, dtype=np.float64)
-    widths = [int(w) for w in widths]
-    K = sum(widths)
-    if rhs_local.shape != (nl_b, K):
-        raise ValueError(f"rhs_local must be ({nl_b}, {K}), got {rhs_local.shape}")
-    if rhs_tip.shape != (a, K):
-        raise ValueError(f"rhs_tip must be ({a}, {K}), got {rhs_tip.shape}")
-    locs, tips, off = [], [], 0
-    for w in widths:
-        locs.append(np.array(rhs_local[:, off : off + w], order="C", copy=True))
-        tips.append(np.array(rhs_tip[:, off : off + w], order="C", copy=True))
-        off += w
-    return locs, tips, widths, K
-
-
 def d_pobtas_lanes(
     factors: DistributedFactors,
-    rhs_local: np.ndarray,
-    rhs_tip: np.ndarray,
+    rhs_locals: list,
+    rhs_tips: list,
     comm: Communicator,
-    widths,
     *,
+    lt: bool = False,
     batched: bool | None = None,
-) -> tuple:
-    """Multi-lane distributed solve: one collective round for many stacks.
+) -> list:
+    """Distributed solve of several independent panels ("lanes") at once.
 
-    ``rhs_local`` is the column concatenation of several independent
-    right-hand-side stacks ("lanes") of widths ``widths`` — this rank's
-    slices — and ``rhs_tip`` the matching ``(a, sum(widths))`` tip block.
-    Each lane's interior sweeps and reduced-system solve run at the
-    lane's *exact* width (bit-identical to a standalone :func:`d_pobtas`
-    per lane: the collectives are element-wise/concatenating, so a
-    column's bits never depend on its neighbors), but the tip-delta
-    ``Allreduce`` and the boundary ``Allgather`` each fire ONCE for the
-    whole lane set instead of once per lane — the k-collectives-to-one
-    batching of the serving sweep groups.
+    ``rhs_locals[i]`` is this rank's ``(nl b, k_i)`` slice of lane ``i``
+    and ``rhs_tips[i]`` its replicated ``(a, k_i)`` tip block.  Every
+    lane's interior sweeps and reduced-system solve run at the lane's own
+    width, on a C-ordered copy of its panel — the GEMM shapes, and so the
+    bits, of a lane never depend on its neighbours (the collectives are
+    element-wise or concatenating).  The collectives fire ONCE for the
+    whole lane set:
 
-    Returns ``(x_local, x_tip)`` in the same column-concatenated layout.
+    1. (``A x = rhs`` only) every rank forward-eliminates its interiors,
+       accumulating updates onto its boundary entries and a tip delta,
+       and the tip deltas are summed with one ``Allreduce`` — made even
+       when ``a = 0``, so every rank runs the same schedule;
+    2. the boundary entries are ``Allgather``-ed into the reduced
+       right-hand side;
+    3. the reduced system is solved redundantly with the sequential
+       ``pobtas`` — or ``pobtas_lt`` for ``lt=True``, the backward-only
+       ``L^T x = rhs`` sweep of :func:`d_pobtas_lt`, which skips step 1;
+    4. every rank back-substitutes its interiors.
+
+    Returns ``[(x_local, x_tip), ...]`` in lane order, shapes
+    ``(nl b, k_i)`` and ``(a, k_i)``.
     """
     part, b, a = factors.part, factors.b, factors.a
     nl = part.n_blocks
     m = factors.n_interior
     use_batched = batched_enabled(batched)
-    locs, tips, widths, K = _lane_views(rhs_local, rhs_tip, widths, nl * b, a)
+    if len(rhs_tips) != len(rhs_locals):
+        raise ValueError("need one tip block per lane")
 
-    # ---- forward: per-lane interior elimination (local, exact widths) ---
-    rbs, tip_deltas = [], []
-    for r in locs:
-        rb = r.reshape(nl, b, -1)
-        tip_delta = np.zeros((a, rb.shape[-1]))
-        if use_batched:
-            _forward_batched(factors, rb, tip_delta, a, m)
+    rbs, rts = [], []
+    for loc, tip in zip(rhs_locals, rhs_tips):
+        loc = np.asarray(loc, dtype=np.float64)
+        if loc.ndim != 2 or loc.shape[0] != nl * b:
+            raise ValueError(f"lane panel must be ({nl * b}, k), got {loc.shape}")
+        k = loc.shape[1]
+        rbs.append(np.array(loc, order="C", copy=True).reshape(nl, b, k))
+        rts.append(np.asarray(tip, dtype=np.float64).reshape(a, k) if a else np.zeros((0, k)))
+    offs = list(accumulate((rb.shape[-1] for rb in rbs), initial=0))
+
+    if not lt:
+        forward = _forward_batched if use_batched else _forward_blocked
+        deltas = []
+        for rb in rbs:
+            delta = np.zeros((a, rb.shape[-1]))
+            forward(factors, rb, delta, a, m)
+            deltas.append(delta)
+        tip_sum = comm.Allreduce(np.concatenate(deltas, axis=1))
+        rts = [rt + tip_sum[:, lo:hi] for rt, lo, hi in zip(rts, offs[:-1], offs[1:])]
+
+    gathered = comm.Allgather(np.concatenate([_boundary_panels(factors, rb) for rb in rbs], axis=1))
+
+    reduced_solve = pobtas_lt if lt else pobtas
+    backward = _backward_batched if use_batched else _backward_blocked
+    out = []
+    for rb, rt, lo, hi in zip(rbs, rts, offs[:-1], offs[1:]):
+        r_red = _reduced_from_gathered(factors, [g[:, lo:hi] for g in gathered], rt, hi - lo)
+        x_red = reduced_solve(factors.reduced_chol, r_red, batched=use_batched)
+        # Solve in place; the boundary slots receive the reduced solution.
+        x_tip = _scatter_reduced_solution(factors, rb, x_red)
+        backward(factors, rb, x_tip, a, m)
+        out.append((rb.reshape(nl * b, -1), x_tip))
+    return out
+
+
+def _boundary_panels(factors: DistributedFactors, rb: np.ndarray) -> np.ndarray:
+    """This rank's boundary rows of ``rb`` (the Allgather payload)."""
+    pos_top, pos_bottom = factors.positions
+    if pos_top is None or pos_top == pos_bottom:
+        return rb[-1]
+    return np.concatenate([rb[0], rb[-1]], axis=0)
+
+
+def _reduced_from_gathered(
+    factors: DistributedFactors, gathered: list, rt: np.ndarray, k: int
+) -> np.ndarray:
+    """Scatter gathered boundary pieces into the ``(mr b + a, k)`` reduced RHS."""
+    b, a = factors.b, factors.a
+    mr = factors.reduced.m
+    r_red = np.zeros((mr * b + a, k))
+    for p, piece in enumerate(gathered):
+        top, bottom = factors.reduced.positions[p]
+        if top is None or top == bottom:
+            r_red[bottom * b : (bottom + 1) * b] = piece
         else:
-            _forward_blocked(factors, rb, tip_delta, a, m)
-        rbs.append(rb)
-        tip_deltas.append(tip_delta)
-
-    # ---- ONE Allreduce for every lane's tip delta -----------------------
-    tip_all = comm.Allreduce(np.ascontiguousarray(np.concatenate(tip_deltas, axis=1)))
-    rts = []
-    off = 0
-    for rt, w in zip(tips, widths):
-        rts.append(rt + tip_all[:, off : off + w] if a else np.zeros((0, w)))
-        off += w
-
-    # ---- ONE Allgather for every lane's boundary panels -----------------
-    mine = np.concatenate([_boundary_panels(factors, rb) for rb in rbs], axis=1)
-    gathered = comm.Allgather(np.ascontiguousarray(mine))
-
-    # ---- per-lane reduced solve + backward sweep (local, exact widths) --
-    xls, xts = [], []
-    off = 0
-    for rb, rt, w in zip(rbs, rts, widths):
-        piece = [np.array(g[:, off : off + w], order="C", copy=True) for g in gathered]
-        r_red = _reduced_from_gathered(factors, piece, rt, w)
-        x_red = pobtas(factors.reduced_chol, r_red, batched=use_batched)
-        x = rb
-        x_tip = _scatter_reduced_solution(factors, x, x_red)
-        if use_batched:
-            _backward_batched(factors, x, x_tip, a, m)
-        else:
-            _backward_blocked(factors, x, x_tip, a, m)
-        xls.append(x.reshape(nl * b, w))
-        xts.append(x_tip)
-        off += w
-    return np.concatenate(xls, axis=1), np.concatenate(xts, axis=1)
+            r_red[top * b : (top + 1) * b] = piece[:b]
+            r_red[bottom * b : (bottom + 1) * b] = piece[b:]
+    if a:
+        r_red[mr * b :] = rt
+    return r_red
 
 
-def d_pobtas_lt_lanes(
-    factors: DistributedFactors,
-    rhs_local: np.ndarray,
-    rhs_tip: np.ndarray,
-    comm: Communicator,
-    widths,
-    *,
-    batched: bool | None = None,
-) -> tuple:
-    """Multi-lane backward-only distributed solve (one Allgather total).
+def _scatter_reduced_solution(
+    factors: DistributedFactors, x: np.ndarray, x_red: np.ndarray
+) -> np.ndarray:
+    """Place this rank's boundary slots from the reduced solution.
 
-    The ``L^T`` sibling of :func:`d_pobtas_lanes` — no forward sweep, no
-    Allreduce; the single boundary ``Allgather`` carries every lane.
-    Per-lane math at exact widths, bit-identical to standalone
-    :func:`d_pobtas_lt` calls.
+    Writes the top/bottom boundary panels of ``x`` in place and returns
+    the ``(a, k)`` tip solution (identical on every rank).
     """
-    part, b, a = factors.part, factors.b, factors.a
-    nl = part.n_blocks
-    m = factors.n_interior
-    use_batched = batched_enabled(batched)
-    locs, tips, widths, K = _lane_views(rhs_local, rhs_tip, widths, nl * b, a)
-
-    rbs = [r.reshape(nl, b, -1) for r in locs]
-    rts = [rt if a else np.zeros((0, w)) for rt, w in zip(tips, widths)]
-
-    mine = np.concatenate([_boundary_panels(factors, rb) for rb in rbs], axis=1)
-    gathered = comm.Allgather(np.ascontiguousarray(mine))
-
-    xls, xts = [], []
-    off = 0
-    for rb, rt, w in zip(rbs, rts, widths):
-        piece = [np.array(g[:, off : off + w], order="C", copy=True) for g in gathered]
-        r_red = _reduced_from_gathered(factors, piece, rt, w)
-        x_red = pobtas_lt(factors.reduced_chol, r_red, batched=use_batched)
-        x = rb
-        x_tip = _scatter_reduced_solution(factors, x, x_red)
-        if use_batched:
-            _backward_batched(factors, x, x_tip, a, m)
-        else:
-            _backward_blocked(factors, x, x_tip, a, m)
-        xls.append(x.reshape(nl * b, w))
-        xts.append(x_tip)
-        off += w
-    return np.concatenate(xls, axis=1), np.concatenate(xts, axis=1)
+    b = factors.b
+    pos_top, pos_bottom = factors.positions
+    if pos_top is not None:
+        x[0] = x_red[pos_top * b : (pos_top + 1) * b]
+    x[-1] = x_red[pos_bottom * b : (pos_bottom + 1) * b]
+    return x_red[factors.reduced.m * b :]

@@ -20,12 +20,17 @@ This module makes the factorization a first-class object:
   ``solve_stack()``, ``solve_lt_stack()``, ``selected_inverse_diagonal()``
   and ``sample()`` all reuse the one factorization with zero per-call
   block allocation.
-- :class:`DistributedBTAFactor` — the rank-partitioned handle returned by
-  ``DistributedSolver.factorize``.  It retains every rank's
+- :class:`DistributedBTAFactor` — the rank-partitioned handle (strategy
+  S3).  One ``d_pobtaf`` collective builds every rank's
   :class:`~repro.structured.d_pobtaf.DistributedFactors` (interior factor
-  stacks, cached interior inverses, the shared reduced-system factor)
-  across SPMD epochs: each method launches one collective round
-  against the stored factors instead of re-running ``d_pobtaf``.
+  stacks, cached interior inverses, the shared reduced-system factor);
+  each method then launches one SPMD epoch against the stored factors
+  instead of re-running ``d_pobtaf``.  The ranks are threads of this
+  process (:func:`d_factorize`, ``DistributedSolver.factorize``), whose
+  factors the handle holds, or persistent worker processes
+  (:func:`d_factorize_proc`), each holding its own factors resident in
+  :func:`~repro.comm.launcher.worker_store`.  Both run the same
+  module-level rank jobs, so the two are bit-identical.
 
 Results are bit-identical to the legacy one-shot calls (which are now
 thin ``factorize``-then-call wrappers).  Sequential handles are safe to
@@ -45,28 +50,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend.protocol import NUMPY_BACKEND, Backend
-from repro.errors import NPDJitterWarning
+from repro.comm.launcher import SpmdSession, worker_store
 
-# Pinned to the thread launcher on purpose: the closure-based rank
-# functions below capture (and mutate) handle state across epochs, which
-# only shared-memory threads can do.  The process backend has its own
-# entry point (ProcDistributedBTAFactor / d_factorize_proc) whose jobs
-# are module-level picklable and keep state in the worker_store.
+# Thread ranks always use the thread launcher, whatever ``REPRO_COMM``
+# says: the handle holds their factors in this process.  Process ranks
+# run through an SpmdSession instead (see d_factorize_proc).
 from repro.comm.local import run_spmd
+from repro.errors import NPDJitterWarning
 from repro.structured.bta import BTAMatrix, BTAShape
-from repro.structured.d_pobtaf import DistributedFactors, d_pobtaf, partition_matrix
-from repro.structured.d_pobtas import d_pobtas
+from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
+from repro.structured.d_pobtas import d_pobtas_lanes
 from repro.structured.d_pobtasi import d_pobtasi_diag
 from repro.structured.kernels import NotPositiveDefiniteError
-from repro.structured.multirhs import (
-    as_rhs_stack,
-    d_pobtas_lt_stack,
-    d_pobtas_lt_stack_lanes,
-    d_pobtas_stack,
-    d_pobtas_stack_lanes,
-    pobtas_lt_stack,
-    pobtas_stack,
-)
+from repro.structured.multirhs import as_rhs_stack, pobtas_lt_stack, pobtas_stack
 from repro.structured.pobtaf import BTACholesky, pobtaf
 from repro.structured.pobtas import pobtas, pobtas_lt
 from repro.structured.pobtasi import (
@@ -78,7 +74,6 @@ from repro.structured.pobtasi import (
 __all__ = [
     "BTAFactor",
     "DistributedBTAFactor",
-    "ProcDistributedBTAFactor",
     "NPDJitterPolicy",
     "factorize",
     "d_factorize",
@@ -140,15 +135,16 @@ class SweepWorkspacePool:
                     self._free.pop(0)
 
 
-def _run_spmd_spd(P: int, fn):
-    """``run_spmd`` that surfaces per-rank positive-definiteness failures.
+def _run_spd(run, *args, **kwargs):
+    """One SPMD epoch ``run(*args, **kwargs)`` that surfaces per-rank
+    positive-definiteness failures.
 
     An infeasible hyperparameter configuration makes a rank's Cholesky
     fail; the objective layer must see ``NotPositiveDefiniteError`` (so
     the optimizer backtracks) rather than a generic SPMD error.
     """
     try:
-        return run_spmd(P, fn)
+        return run(*args, **kwargs)
     except RuntimeError as exc:
         cause = exc.__cause__
         while cause is not None:
@@ -311,26 +307,87 @@ class BTAFactor:
         return x
 
 
+# ---------------------------------------------------------------------------
+# Distributed rank jobs
+# ---------------------------------------------------------------------------
+#
+# ``job(comm, f, *args)`` runs on one rank, ``f`` being that rank's
+# DistributedFactors.  The jobs are module-level so they pickle to worker
+# processes under any start method.
+
+_STORE_KEY = "dbta_factors"
+
+
+def _factorize_job(comm, slices, batched):
+    f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
+    return f, f.logdet(comm, batched=batched)
+
+
+def _resident_factorize_job(comm, slices, batched):
+    f, logdet = _factorize_job(comm, slices, batched)
+    worker_store()[_STORE_KEY] = f
+    return logdet
+
+
+def _resident(comm, job, *args):
+    """Process-rank trampoline: run ``job`` on this worker's resident factors."""
+    return job(comm, worker_store()[_STORE_KEY], *args)
+
+
+def _logdet_job(comm, f, batched):
+    return f.logdet(comm, batched=batched)
+
+
+def _sweep_job(comm, f, stacks, lt, batched):
+    """This rank's slice of every row-major ``(k_i, N)`` lane through one
+    :func:`~repro.structured.d_pobtas.d_pobtas_lanes` round; returns
+    row-major ``(x_local, x_tip)`` pairs in lane order."""
+    lo, hi = f.part.start * f.b, f.part.stop * f.b
+    locs = [s[:, lo:hi].T for s in stacks]
+    tips = [s[:, s.shape[1] - f.a :].T for s in stacks]
+    return [(x.T, t.T) for x, t in d_pobtas_lanes(f, locs, tips, comm, lt=lt, batched=batched)]
+
+
+def _selinv_job(comm, f, batched):
+    return d_pobtasi_diag(f, batched=batched)
+
+
+def _solve_and_selinv_job(comm, f, stack, batched):
+    (x,) = _sweep_job(comm, f, [stack], False, batched)
+    return x + d_pobtasi_diag(f, batched=batched)
+
+
+def _joined(pieces: list, tip) -> np.ndarray:
+    """Per-rank row-major pieces plus the shared tip piece, in ``N`` order."""
+    return np.concatenate(pieces + [tip], axis=-1)
+
+
 @dataclass
 class DistributedBTAFactor:
     """Rank-partitioned factorization handle (strategy S3).
 
-    Holds every rank's :class:`DistributedFactors` from one ``d_pobtaf``
-    collective; each method launches a single SPMD epoch over the stored
-    factors — the factorization itself (and its cached interior
-    inverses and reduced-system factor) is never recomputed.  Built by
-    :func:`d_factorize` / ``DistributedSolver.factorize``.
+    Holds the result of one ``d_pobtaf`` collective; each method launches
+    a single SPMD epoch over the stored factors — the factorization
+    itself (and its cached interior inverses and reduced-system factor)
+    is never recomputed.  Thread ranks (:func:`d_factorize` /
+    ``DistributedSolver.factorize``) keep every rank's
+    :class:`~repro.structured.d_pobtaf.DistributedFactors` in ``factors``;
+    process ranks (:func:`d_factorize_proc`) keep them resident in their
+    worker processes, and ``factors`` is None.  Close the handle (or use
+    it as a context manager) to release the worker processes; for thread
+    ranks that is a no-op.
     """
 
     shape3: BTAShape
-    factors: list
+    factors: list | None
     batched: bool | None = None
     _logdet: float | None = field(default=None, repr=False)
     _selinv_diag: np.ndarray | None = field(default=None, repr=False)
+    _session: SpmdSession | None = field(default=None, repr=False)
 
     @property
     def P(self) -> int:
-        return len(self.factors)
+        return len(self.factors) if self._session is None else self._session.nranks
 
     @property
     def n(self) -> int:
@@ -348,55 +405,38 @@ class DistributedBTAFactor:
     def N(self) -> int:
         return self.shape3.N
 
-    def _rank_factors(self, comm) -> DistributedFactors:
-        return self.factors[comm.Get_rank()]
+    def _run(self, job, *args) -> list:
+        """``job(comm, f, *args)`` on every rank; per-rank results in rank order."""
+        if self._session is not None:
+            return _run_spd(self._session.run, _resident, job, *args)
+        factors = self.factors
+        return _run_spd(run_spmd, self.P, lambda comm: job(comm, factors[comm.Get_rank()], *args))
 
-    def _local(self, arr: np.ndarray, f: DistributedFactors) -> np.ndarray:
-        """This rank's slice of a leading-``N`` array (blocks, then tip)."""
-        b = self.b
-        return arr[f.part.start * b : f.part.stop * b]
+    def _sweep(self, stacks: list, lt: bool) -> list:
+        """Row-major ``(k_i, N)`` lanes through one epoch and one
+        collective round; an empty lane list launches nothing."""
+        if not stacks:
+            return []
+        stacks = [as_rhs_stack(s, self.N)[0] for s in stacks]
+        out = self._run(_sweep_job, stacks, lt, self.batched)
+        return [_joined([o[i][0] for o in out], out[0][i][1]) for i in range(len(stacks))]
 
     def logdet(self) -> float:
         """Global ``log det A`` (one Allreduce round; cached)."""
         if self._logdet is None:
-
-            def rank_fn(comm):
-                f = self._rank_factors(comm)
-                return f.logdet(comm, batched=self.batched)
-
-            self._logdet = _run_spmd_spd(self.P, rank_fn)[0]
+            self._logdet = self._run(_logdet_job, self.batched)[0]
         return self._logdet
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` with the stored factors (one pipeline)."""
+        """Solve ``A x = rhs`` (vector ``(N,)`` or columns ``(N, k)``)."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        tip = rhs[self.n * self.b :]
-
-        def rank_fn(comm):
-            f = self._rank_factors(comm)
-            return d_pobtas(f, self._local(rhs, f), tip, comm, batched=self.batched)
-
-        out = _run_spmd_spd(self.P, rank_fn)
-        return np.concatenate([o[0] for o in out] + [out[0][1]])
+        (x,) = self._sweep([rhs.T], lt=False)
+        return x[0] if rhs.ndim == 1 else np.ascontiguousarray(x.T)
 
     def solve_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
         """Row-major ``(k, N)`` stack: one collective round for the lot."""
         stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        tip = stack[:, self.n * self.b :]
-
-        def rank_fn(comm):
-            f = self._rank_factors(comm)
-            b = self.b
-            return d_pobtas_stack(
-                f,
-                stack[:, f.part.start * b : f.part.stop * b],
-                tip,
-                comm,
-                batched=self.batched,
-            )
-
-        out = _run_spmd_spd(self.P, rank_fn)
-        x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
+        (x,) = self._sweep([stack], lt=False)
         return x[0] if squeeze else x
 
     def solve_lt_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
@@ -410,54 +450,22 @@ class DistributedBTAFactor:
         round per stack.
         """
         stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        tip = stack[:, self.n * self.b :]
-
-        def rank_fn(comm):
-            f = self._rank_factors(comm)
-            b = self.b
-            return d_pobtas_lt_stack(
-                f,
-                stack[:, f.part.start * b : f.part.stop * b],
-                tip,
-                comm,
-                batched=self.batched,
-            )
-
-        out = _run_spmd_spd(self.P, rank_fn)
-        x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
+        (x,) = self._sweep([stack], lt=True)
         return x[0] if squeeze else x
-
-    def _solve_lanes(self, stacks: list, lanes_fn) -> list:
-        """Shared driver for the multi-lane solves: one SPMD epoch, one
-        collective round, per-lane results reassembled in lane order."""
-        norm = [as_rhs_stack(s, self.N)[0] for s in stacks]
-        tips = [s[:, self.n * self.b :] for s in norm]
-
-        def rank_fn(comm):
-            f = self._rank_factors(comm)
-            b = self.b
-            locs = [s[:, f.part.start * b : f.part.stop * b] for s in norm]
-            return lanes_fn(f, locs, tips, comm, batched=self.batched)
-
-        out = _run_spmd_spd(self.P, rank_fn)
-        return [
-            np.concatenate([o[i][0] for o in out] + [out[0][i][1]], axis=1)
-            for i in range(len(stacks))
-        ]
 
     def solve_stack_lanes(self, stacks: list) -> list:
         """Solve several ``(k_i, N)`` stacks with ONE collective round.
 
         All lanes share a single Allreduce + Allgather
-        (:func:`repro.structured.multirhs.d_pobtas_stack_lanes`); each
-        lane's sweeps run at its exact width, so the per-lane results are
+        (:func:`repro.structured.d_pobtas.d_pobtas_lanes`); each lane's
+        sweeps run at its exact width, so the per-lane results are
         bit-identical to separate :meth:`solve_stack` calls.
         """
-        return self._solve_lanes(stacks, d_pobtas_stack_lanes)
+        return self._sweep(stacks, lt=False)
 
     def solve_lt_stack_lanes(self, stacks: list) -> list:
         """Backward-only lane solves, one Allgather round for the lot."""
-        return self._solve_lanes(stacks, d_pobtas_lt_stack_lanes)
+        return self._sweep(stacks, lt=True)
 
     def selected_inverse_diagonal(self) -> np.ndarray:
         """Diagonal of ``A^{-1}`` (communication-free per rank; cached).
@@ -468,31 +476,20 @@ class DistributedBTAFactor:
         materializing any inverse block slice.
         """
         if self._selinv_diag is None:
-
-            def rank_fn(comm):
-                return d_pobtasi_diag(self._rank_factors(comm), batched=self.batched)
-
-            out = _run_spmd_spd(self.P, rank_fn)
-            self._selinv_diag = np.concatenate([o[0] for o in out] + [out[0][1]])
+            out = self._run(_selinv_job, self.batched)
+            self._selinv_diag = _joined([o[0] for o in out], out[0][1])
         return self._selinv_diag.copy()
 
     def solve_and_selected_inverse_diagonal(self, rhs: np.ndarray) -> tuple:
         """``(x, var)`` from one SPMD epoch over the stored factors."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        tip = rhs[self.n * self.b :]
-
-        def rank_fn(comm):
-            f = self._rank_factors(comm)
-            xl, xt = d_pobtas(f, self._local(rhs, f), tip, comm, batched=self.batched)
-            var_local, var_tip = d_pobtasi_diag(f, batched=self.batched)
-            return xl, xt, var_local, var_tip
-
-        out = _run_spmd_spd(self.P, rank_fn)
-        x = np.concatenate([o[0] for o in out] + [out[0][1]])
-        var = np.concatenate([o[2] for o in out] + [out[0][3]])
+        stack, _ = as_rhs_stack(rhs.T, self.N)
+        out = self._run(_solve_and_selinv_job, stack, self.batched)
+        x = _joined([o[0] for o in out], out[0][1])
+        var = _joined([o[2] for o in out], out[0][3])
         if self._selinv_diag is None:
             self._selinv_diag = var.copy()
-        return x, var
+        return (x[0] if rhs.ndim == 1 else np.ascontiguousarray(x.T)), var
 
     def sample(self, k: int, rng: np.random.Generator, *, mean: np.ndarray | None = None):
         """``k`` exact draws from ``N(mean, A^{-1})``, row-major ``(k, N)``."""
@@ -504,258 +501,16 @@ class DistributedBTAFactor:
             x += np.asarray(mean, dtype=np.float64)[None, :]
         return x
 
-
-# ---------------------------------------------------------------------------
-# Process-backed distributed handle
-# ---------------------------------------------------------------------------
-#
-# The closure-based DistributedBTAFactor above keeps every rank's factors in
-# the PARENT's memory and re-binds them each epoch — only threads can do
-# that.  The proc-backed handle below keeps each rank's DistributedFactors
-# resident in its OWN worker process (repro.comm.launcher.worker_store)
-# across epochs, shipping only RHS vectors and results.  The job functions
-# are module-level so they pickle under any start method.
-
-_STORE_KEY = "dbta_factors"
-
-
-def _proc_job_factorize(comm, slices, batched):
-    from repro.comm.launcher import worker_store
-
-    f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
-    worker_store()[_STORE_KEY] = f
-    return f.logdet(comm, batched=batched)
-
-
-def _proc_job_solve(comm, rhs, tip, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    return d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm, batched=batched)
-
-
-def _proc_job_solve_stack(comm, stack, tip, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    return d_pobtas_stack(
-        f, stack[:, f.part.start * b : f.part.stop * b], tip, comm, batched=batched
-    )
-
-
-def _proc_job_solve_lt_stack(comm, stack, tip, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    return d_pobtas_lt_stack(
-        f, stack[:, f.part.start * b : f.part.stop * b], tip, comm, batched=batched
-    )
-
-
-def _proc_job_solve_stack_lanes(comm, stacks, tips, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    locs = [s[:, f.part.start * b : f.part.stop * b] for s in stacks]
-    return d_pobtas_stack_lanes(f, locs, tips, comm, batched=batched)
-
-
-def _proc_job_solve_lt_stack_lanes(comm, stacks, tips, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    locs = [s[:, f.part.start * b : f.part.stop * b] for s in stacks]
-    return d_pobtas_lt_stack_lanes(f, locs, tips, comm, batched=batched)
-
-
-def _proc_job_selinv_diag(comm, batched):
-    from repro.comm.launcher import worker_store
-
-    return d_pobtasi_diag(worker_store()[_STORE_KEY], batched=batched)
-
-
-def _proc_job_solve_and_selinv(comm, rhs, tip, batched):
-    from repro.comm.launcher import worker_store
-
-    f = worker_store()[_STORE_KEY]
-    b = f.b
-    xl, xt = d_pobtas(f, rhs[f.part.start * b : f.part.stop * b], tip, comm, batched=batched)
-    var_local, var_tip = d_pobtasi_diag(f, batched=batched)
-    return xl, xt, var_local, var_tip
-
-
-class ProcDistributedBTAFactor:
-    """Distributed factorization handle over persistent worker *processes*.
-
-    Same epoch-reuse contract as :class:`DistributedBTAFactor` — one
-    ``d_pobtaf`` collective, then every logdet/solve/selected-inverse/
-    sampling call reuses the stored factors — but the ranks are OS
-    processes holding their factor slices in their own address space
-    (via :func:`repro.comm.launcher.worker_store`), talking through a
-    :class:`~repro.comm.shm.ShmComm` shared-memory segment.  Built by
-    :func:`d_factorize_proc`; close (or use as a context manager) to
-    release the workers and the segment.
-    """
-
-    def __init__(
-        self,
-        A: BTAMatrix,
-        P: int,
-        *,
-        lb: float = 1.6,
-        batched: bool | None = None,
-        start_method: str | None = None,
-    ):
-        from repro.comm.launcher import SpmdSession
-
-        if P < 1:
-            raise ValueError(f"P must be >= 1, got {P}")
-        self.shape3 = A.shape3
-        self.batched = batched
-        slices = partition_matrix(A, P, lb=lb)
-        self._bounds = [(sl.part.start, sl.part.stop) for sl in slices]
-        self._selinv_diag: np.ndarray | None = None
-        self._session = SpmdSession(P, start_method=start_method)
-        try:
-            # warmup=True: the session replays this epoch after a respawn,
-            # rebuilding every rank's resident factor slices before any
-            # retried solve epoch touches the worker_store.
-            self._logdet = self._run(_proc_job_factorize, slices, batched, warmup=True)[0]
-        except BaseException:
-            self._session.close()
-            raise
-
-    def _run(self, job, *args, warmup: bool = False) -> list:
-        try:
-            return self._session.run(job, *args, warmup=warmup)
-        except RuntimeError as exc:
-            cause = exc.__cause__
-            while cause is not None:
-                if isinstance(cause, NotPositiveDefiniteError):
-                    raise NotPositiveDefiniteError(str(cause)) from exc
-                cause = cause.__cause__
-            raise
-
-    @property
-    def P(self) -> int:
-        return len(self._bounds)
-
-    @property
-    def n(self) -> int:
-        return self.shape3.n
-
-    @property
-    def b(self) -> int:
-        return self.shape3.b
-
-    @property
-    def a(self) -> int:
-        return self.shape3.a
-
-    @property
-    def N(self) -> int:
-        return self.shape3.N
-
-    def logdet(self) -> float:
-        return self._logdet
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        out = self._run(_proc_job_solve, rhs, rhs[self.n * self.b :], self.batched)
-        return np.concatenate([o[0] for o in out] + [out[0][1]])
-
-    def solve_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
-        stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        out = self._run(
-            _proc_job_solve_stack, stack, stack[:, self.n * self.b :], self.batched
-        )
-        x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
-        return x[0] if squeeze else x
-
-    def solve_lt_stack(self, rhs_stack: np.ndarray) -> np.ndarray:
-        stack, squeeze = as_rhs_stack(rhs_stack, self.N)
-        out = self._run(
-            _proc_job_solve_lt_stack, stack, stack[:, self.n * self.b :], self.batched
-        )
-        x = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
-        return x[0] if squeeze else x
-
-    def _solve_lanes(self, stacks: list, job) -> list:
-        norm = [as_rhs_stack(s, self.N)[0] for s in stacks]
-        tips = [s[:, self.n * self.b :] for s in norm]
-        out = self._run(job, norm, tips, self.batched)
-        return [
-            np.concatenate([o[i][0] for o in out] + [out[0][i][1]], axis=1)
-            for i in range(len(stacks))
-        ]
-
-    def solve_stack_lanes(self, stacks: list) -> list:
-        """Multi-lane solve: one worker epoch, one collective round.
-
-        Bit-identical per lane to :meth:`solve_stack` — and to the
-        thread-backed :class:`DistributedBTAFactor` lanes (the collectives
-        reduce in rank order on both transports).
-        """
-        return self._solve_lanes(stacks, _proc_job_solve_stack_lanes)
-
-    def solve_lt_stack_lanes(self, stacks: list) -> list:
-        """Backward-only multi-lane solve (see :meth:`solve_stack_lanes`)."""
-        return self._solve_lanes(stacks, _proc_job_solve_lt_stack_lanes)
-
-    def selected_inverse_diagonal(self) -> np.ndarray:
-        if self._selinv_diag is None:
-            out = self._run(_proc_job_selinv_diag, self.batched)
-            self._selinv_diag = np.concatenate([o[0] for o in out] + [out[0][1]])
-        return self._selinv_diag.copy()
-
-    def solve_and_selected_inverse_diagonal(self, rhs: np.ndarray) -> tuple:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        out = self._run(_proc_job_solve_and_selinv, rhs, rhs[self.n * self.b :], self.batched)
-        x = np.concatenate([o[0] for o in out] + [out[0][1]])
-        var = np.concatenate([o[2] for o in out] + [out[0][3]])
-        if self._selinv_diag is None:
-            self._selinv_diag = var.copy()
-        return x, var
-
-    def sample(self, k: int, rng: np.random.Generator, *, mean: np.ndarray | None = None):
-        if k < 1:
-            raise ValueError(f"need k >= 1 samples, got {k}")
-        z = rng.standard_normal((k, self.N))
-        x = self.solve_lt_stack(z)
-        if mean is not None:
-            x += np.asarray(mean, dtype=np.float64)[None, :]
-        return x
-
     def close(self) -> None:
-        self._session.close()
+        """Release the worker processes (idempotent; no-op for thread ranks)."""
+        if self._session is not None:
+            self._session.close()
 
-    def __enter__(self) -> "ProcDistributedBTAFactor":
+    def __enter__(self) -> "DistributedBTAFactor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def d_factorize_proc(
-    A: BTAMatrix,
-    P: int,
-    *,
-    lb: float = 1.6,
-    batched: bool | None = None,
-    start_method: str | None = None,
-) -> ProcDistributedBTAFactor:
-    """Distributed factorization over ``P`` worker *processes*.
-
-    The factorization epoch runs immediately; the returned handle keeps
-    the workers (and their resident factor slices) alive for later
-    solve/selected-inverse/sampling epochs.  Close the handle when done.
-    """
-    return ProcDistributedBTAFactor(A, P, lb=lb, batched=batched, start_method=start_method)
 
 
 @dataclass(frozen=True)
@@ -881,7 +636,7 @@ def factorize(
 def d_factorize(
     A: BTAMatrix, P: int, *, lb: float = 1.6, batched: bool | None = None
 ) -> DistributedBTAFactor:
-    """Distributed factorization over ``P`` SPMD ranks, returning the handle.
+    """Distributed factorization over ``P`` SPMD thread ranks, returning the handle.
 
     One collective ``d_pobtaf`` epoch; the per-rank factors (and the
     shared reduced-system factor) persist on the handle for
@@ -891,16 +646,43 @@ def d_factorize(
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    slices = partition_matrix(A, P, lb=lb)
-
-    def rank_fn(comm):
-        f = d_pobtaf(slices[comm.Get_rank()], comm, batched=batched)
-        return f, f.logdet(comm, batched=batched)
-
-    out = _run_spmd_spd(P, rank_fn)
+    out = _run_spd(run_spmd, P, _factorize_job, partition_matrix(A, P, lb=lb), batched)
     return DistributedBTAFactor(
         shape3=A.shape3,
         factors=[o[0] for o in out],
         batched=batched,
         _logdet=out[0][1],
+    )
+
+
+def d_factorize_proc(
+    A: BTAMatrix,
+    P: int,
+    *,
+    lb: float = 1.6,
+    batched: bool | None = None,
+    start_method: str | None = None,
+) -> DistributedBTAFactor:
+    """Distributed factorization over ``P`` persistent worker *processes*.
+
+    Same handle and results as :func:`d_factorize`, but each rank is an OS
+    process holding its factor slices in its own address space, talking
+    through a :class:`~repro.comm.shm.ShmComm` shared-memory segment, and
+    only right-hand sides and results cross process boundaries.  Close
+    the handle (or use it as a context manager) when done.
+    """
+    if P < 1:
+        raise ValueError(f"P must be >= 1, got {P}")
+    slices = partition_matrix(A, P, lb=lb)
+    session = SpmdSession(P, start_method=start_method)
+    try:
+        # warmup=True: the session replays this epoch after a respawn,
+        # rebuilding every rank's resident factor slices before any
+        # retried solve epoch touches the worker_store.
+        out = _run_spd(session.run, _resident_factorize_job, slices, batched, warmup=True)
+    except BaseException:
+        session.close()
+        raise
+    return DistributedBTAFactor(
+        shape3=A.shape3, factors=None, batched=batched, _logdet=out[0], _session=session
     )

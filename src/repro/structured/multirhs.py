@@ -37,14 +37,6 @@ import numpy as np
 
 from repro.backend.array_module import batched_enabled
 from repro.backend.protocol import Backend, backend_for
-from repro.comm.communicator import Communicator
-from repro.structured.d_pobtaf import DistributedFactors
-from repro.structured.d_pobtas import (
-    d_pobtas,
-    d_pobtas_lanes,
-    d_pobtas_lt,
-    d_pobtas_lt_lanes,
-)
 from repro.structured.pobtaf import BTACholesky
 from repro.structured.pobtas import (
     backward_sweep_panels,
@@ -57,10 +49,6 @@ __all__ = [
     "as_rhs_stack",
     "pobtas_stack",
     "pobtas_lt_stack",
-    "d_pobtas_stack",
-    "d_pobtas_lt_stack",
-    "d_pobtas_stack_lanes",
-    "d_pobtas_lt_stack_lanes",
 ]
 
 
@@ -170,157 +158,3 @@ def pobtas_lt_stack(
     cols, xb, xt = _to_panels(chol, stack, workspace)
     backward_sweep_panels(chol, xb, xt, L.a, L.n)
     return _from_panels(cols, squeeze, owned=cols is not workspace)
-
-
-def d_pobtas_stack(
-    factors: DistributedFactors,
-    stack_local: np.ndarray,
-    stack_tip: np.ndarray,
-    comm: Communicator,
-    *,
-    batched: bool | None = None,
-) -> tuple:
-    """Row-major stacked interface to the distributed solve (P POBTAS).
-
-    ``stack_local`` is ``(k, nl b)`` — this rank's slice of every RHS —
-    and ``stack_tip`` the replicated ``(k, a)`` tip stack.  Internally the
-    stacks are transposed once into the column panels ``d_pobtas``
-    already batches over, so the interior sweeps, the reduced-system
-    solve, and every collective carry all ``k`` right-hand sides in one
-    pass (one Allreduce / Allgather for the whole stack instead of k).
-    """
-    nl_b = factors.part.n_blocks * factors.b
-    stack_local, squeeze = as_rhs_stack(stack_local, nl_b)
-    stack_tip, _ = as_rhs_stack(stack_tip, factors.a)
-    if stack_tip.shape[0] != stack_local.shape[0]:
-        raise ValueError(
-            f"tip stack height {stack_tip.shape[0]} != rhs stack height {stack_local.shape[0]}"
-        )
-    xl, xt = d_pobtas(
-        factors,
-        np.ascontiguousarray(stack_local.T),
-        np.ascontiguousarray(stack_tip.T),
-        comm,
-        batched=batched,
-    )
-    if squeeze:
-        return xl[:, 0], xt[:, 0]
-    return np.ascontiguousarray(xl.T), np.ascontiguousarray(xt.T)
-
-
-def d_pobtas_lt_stack(
-    factors: DistributedFactors,
-    stack_local: np.ndarray,
-    stack_tip: np.ndarray,
-    comm: Communicator,
-    *,
-    batched: bool | None = None,
-) -> tuple:
-    """Row-major stacked interface to the distributed ``L^T`` solve.
-
-    The S3-scale sampling primitive: ``k`` standard-normal rows become
-    ``k`` exact draws from ``N(0, A^{-1})`` (``L`` is the
-    nested-dissection factor — see
-    :func:`repro.structured.d_pobtas.d_pobtas_lt`) with **one**
-    ``Allgather`` round for the whole stack instead of one per draw.
-    ``stack_local`` is ``(k, nl b)`` — this rank's slice of every RHS —
-    and ``stack_tip`` the replicated ``(k, a)`` tip stack.
-    """
-    nl_b = factors.part.n_blocks * factors.b
-    stack_local, squeeze = as_rhs_stack(stack_local, nl_b)
-    stack_tip, _ = as_rhs_stack(stack_tip, factors.a)
-    if stack_tip.shape[0] != stack_local.shape[0]:
-        raise ValueError(
-            f"tip stack height {stack_tip.shape[0]} != rhs stack height {stack_local.shape[0]}"
-        )
-    xl, xt = d_pobtas_lt(
-        factors,
-        np.ascontiguousarray(stack_local.T),
-        np.ascontiguousarray(stack_tip.T),
-        comm,
-        batched=batched,
-    )
-    if squeeze:
-        return xl[:, 0], xt[:, 0]
-    return np.ascontiguousarray(xl.T), np.ascontiguousarray(xt.T)
-
-
-def _lanes_to_cols(stacks_local: list, stacks_tip: list, nl_b: int, a: int) -> tuple:
-    """Row-major lane stacks -> column-concatenated panels + widths."""
-    if len(stacks_local) != len(stacks_tip):
-        raise ValueError("need one tip stack per local stack")
-    widths, loc_cols, tip_cols = [], [], []
-    for sl, st in zip(stacks_local, stacks_tip):
-        sl, _ = as_rhs_stack(sl, nl_b)
-        st, _ = as_rhs_stack(st, a)
-        if st.shape[0] != sl.shape[0]:
-            raise ValueError(
-                f"tip stack height {st.shape[0]} != rhs stack height {sl.shape[0]}"
-            )
-        widths.append(sl.shape[0])
-        loc_cols.append(sl.T)
-        tip_cols.append(st.T)
-    return (
-        np.ascontiguousarray(np.concatenate(loc_cols, axis=1)),
-        np.ascontiguousarray(np.concatenate(tip_cols, axis=1)),
-        widths,
-    )
-
-
-def _cols_to_lanes(xl: np.ndarray, xt: np.ndarray, widths: list) -> list:
-    """Column-concatenated solutions -> per-lane row-major ``(k_i, ...)``."""
-    out, off = [], 0
-    for w in widths:
-        out.append(
-            (
-                np.ascontiguousarray(xl[:, off : off + w].T),
-                np.ascontiguousarray(xt[:, off : off + w].T),
-            )
-        )
-        off += w
-    return out
-
-
-def d_pobtas_stack_lanes(
-    factors: DistributedFactors,
-    stacks_local: list,
-    stacks_tip: list,
-    comm: Communicator,
-    *,
-    batched: bool | None = None,
-) -> list:
-    """Row-major multi-lane interface to the distributed solve.
-
-    ``stacks_local[i]`` is a ``(k_i, nl b)`` rank slice and
-    ``stacks_tip[i]`` its replicated ``(k_i, a)`` tip stack.  All lanes
-    share ONE Allreduce + ONE Allgather round
-    (:func:`repro.structured.d_pobtas.d_pobtas_lanes`) while each lane's
-    sweeps run at its exact width — the per-lane results are bit-identical
-    to separate :func:`d_pobtas_stack` calls.  Returns a list of
-    ``(x_local, x_tip)`` row-major pairs, in lane order.
-    """
-    nl_b = factors.part.n_blocks * factors.b
-    cols_local, cols_tip, widths = _lanes_to_cols(stacks_local, stacks_tip, nl_b, factors.a)
-    xl, xt = d_pobtas_lanes(factors, cols_local, cols_tip, comm, widths, batched=batched)
-    return _cols_to_lanes(xl, xt, widths)
-
-
-def d_pobtas_lt_stack_lanes(
-    factors: DistributedFactors,
-    stacks_local: list,
-    stacks_tip: list,
-    comm: Communicator,
-    *,
-    batched: bool | None = None,
-) -> list:
-    """Row-major multi-lane interface to the distributed ``L^T`` solve.
-
-    One boundary ``Allgather`` for every lane (no Allreduce in the
-    backward-only sweep); per-lane bits match separate
-    :func:`d_pobtas_lt_stack` calls.  Returns ``(x_local, x_tip)``
-    row-major pairs in lane order.
-    """
-    nl_b = factors.part.n_blocks * factors.b
-    cols_local, cols_tip, widths = _lanes_to_cols(stacks_local, stacks_tip, nl_b, factors.a)
-    xl, xt = d_pobtas_lt_lanes(factors, cols_local, cols_tip, comm, widths, batched=batched)
-    return _cols_to_lanes(xl, xt, widths)

@@ -15,27 +15,12 @@ from repro.comm import run_spmd
 from repro.structured.bta import BTAMatrix, BTAShape
 from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
 from repro.structured.d_pobtas import d_pobtas_lt
-from repro.structured.multirhs import d_pobtas_lt_stack
+from repro.structured.factor import d_factorize
 
 
 def _solve_lt(A, P, stack, *, batched=None, lb=1.6):
-    """Columns of ``stack`` (k, N) through d_pobtas_lt_stack on P ranks."""
-    slices = partition_matrix(A, P, lb=lb)
-    n, b = A.n, A.b
-
-    def rank_fn(comm):
-        sl = slices[comm.Get_rank()]
-        f = d_pobtaf(sl, comm, batched=batched)
-        return d_pobtas_lt_stack(
-            f,
-            stack[:, sl.part.start * b : sl.part.stop * b],
-            stack[:, n * b :],
-            comm,
-            batched=batched,
-        )
-
-    out = run_spmd(P, rank_fn)
-    return np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
+    """Rows of ``stack`` (k, N) through the handle's ``solve_lt_stack`` on P ranks."""
+    return d_factorize(A, P, lb=lb, batched=batched).solve_lt_stack(stack)
 
 
 @pytest.mark.parametrize("batched", [False, True])

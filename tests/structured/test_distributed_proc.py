@@ -4,8 +4,8 @@ Acceptance coverage for the process backend: the full distributed sweep
 family running over :class:`~repro.comm.shm.ShmComm` must be BIT-IDENTICAL
 to the thread backend (same reductions in the same rank order) and agree
 with the sequential solver to 1e-10.  Also exercises the persistent
-:class:`~repro.structured.factor.ProcDistributedBTAFactor` handle, whose
-workers keep their factor slices resident across epochs.
+process-rank :class:`~repro.structured.factor.DistributedBTAFactor`
+handle, whose workers keep their factor slices resident across epochs.
 
 Rank functions are module-level so they stay picklable under any start
 method.
@@ -21,7 +21,6 @@ from repro.structured.d_pobtas import d_pobtas
 from repro.structured.d_pobtasi import d_pobtasi_diag
 from repro.structured.factor import (
     DistributedBTAFactor,
-    ProcDistributedBTAFactor,
     d_factorize,
     d_factorize_proc,
 )
@@ -104,7 +103,7 @@ class TestProcFactorHandle:
 
         ref: DistributedBTAFactor = d_factorize(A, 4, batched=batched)
         with d_factorize_proc(A, 4, batched=batched) as h:
-            assert isinstance(h, ProcDistributedBTAFactor)
+            assert isinstance(h, DistributedBTAFactor)
             assert (h.P, h.n, h.b, h.a, h.N) == (ref.P, ref.n, ref.b, ref.a, ref.N)
             # One factorization epoch, many solve epochs against resident
             # factors — every result bit-identical to the thread handle.

@@ -9,7 +9,7 @@ The contracts under test (see :mod:`repro.structured.multirhs`):
 - degenerate shapes (``a = 0``, ``n = 1``, ``k = 0``) and
   non-contiguous / strided stacks are handled;
 - the caller's stack is never mutated;
-- the distributed stacked interface matches the sequential one;
+- the distributed handle's stacked solve matches the sequential one;
 - the fused selected-inversion + solve matches the separate passes;
 - the solver-level stacked/fused methods agree with their unfused
   building blocks for both Sequential and Distributed dispatch.
@@ -18,13 +18,11 @@ The contracts under test (see :mod:`repro.structured.multirhs`):
 import numpy as np
 import pytest
 
-from repro.comm import run_spmd
 from repro.inla.solvers import DistributedSolver, SequentialSolver
 from repro.structured.bta import BTAMatrix, BTAShape
-from repro.structured.d_pobtaf import d_pobtaf, partition_matrix
+from repro.structured.factor import d_factorize
 from repro.structured.multirhs import (
     as_rhs_stack,
-    d_pobtas_stack,
     pobtas_lt_stack,
     pobtas_stack,
 )
@@ -179,6 +177,9 @@ class TestFusedSelectedInversionSolve:
 
 
 class TestDistributedStack:
+    """The distributed handle's row-major stacked solve (one collective
+    round for the whole stack) against the sequential stacked solve."""
+
     @pytest.mark.parametrize("P", [2, 3])
     @pytest.mark.parametrize("n,b,a", [(10, 3, 2), (9, 4, 0)])
     def test_matches_sequential(self, P, n, b, a):
@@ -186,55 +187,24 @@ class TestDistributedStack:
         k = 5
         S = rng.standard_normal((k, A.N))
         expect = pobtas_stack(chol, S)
-        slices = partition_matrix(A, P)
-
-        def rank_fn(comm):
-            sl = slices[comm.Get_rank()]
-            f = d_pobtaf(sl, comm)
-            return d_pobtas_stack(
-                f, S[:, sl.part.start * b : sl.part.stop * b], S[:, n * b :], comm
-            )
-
-        out = run_spmd(P, rank_fn)
-        got = np.concatenate([o[0] for o in out] + [out[0][1]], axis=1)
+        got = d_factorize(A, P).solve_stack(S)
         assert got.shape == (k, A.N)
         assert np.max(np.abs(got - expect)) < 1e-10
 
     def test_vector_rhs_squeezes(self):
         A, chol, rng = _case(8, 3, 2)
         r = rng.standard_normal(A.N)
-        slices = partition_matrix(A, 2)
-        b, n = A.b, A.n
-
-        def rank_fn(comm):
-            sl = slices[comm.Get_rank()]
-            f = d_pobtaf(sl, comm)
-            return d_pobtas_stack(
-                f, r[sl.part.start * b : sl.part.stop * b], r[n * b :], comm
-            )
-
-        out = run_spmd(2, rank_fn)
-        got = np.concatenate([o[0] for o in out] + [out[0][1]])
+        got = d_factorize(A, 2).solve_stack(r)
         assert got.shape == (A.N,)
         assert np.max(np.abs(got - pobtas(chol, r))) < 1e-10
 
-    def test_mismatched_tip_height_raises(self):
-        A, _, rng = _case(8, 3, 2)
-        slices = partition_matrix(A, 2)
-
-        def rank_fn(comm):
-            sl = slices[comm.Get_rank()]
-            f = d_pobtaf(sl, comm)
-            with pytest.raises(ValueError, match="tip stack height"):
-                d_pobtas_stack(
-                    f,
-                    np.zeros((3, sl.part.n_blocks * A.b)),
-                    np.zeros((2, A.a)),
-                    comm,
-                )
-            return True
-
-        assert all(run_spmd(2, rank_fn))
+    def test_wrong_stack_width_raises(self):
+        A, _, _ = _case(8, 3, 2)
+        f = d_factorize(A, 2)
+        with pytest.raises(ValueError, match="rhs stack must be"):
+            f.solve_stack(np.zeros((3, A.N - A.a)))
+        with pytest.raises(ValueError, match="rhs stack must be"):
+            f.solve_lt_stack_lanes([np.zeros((3, A.N)), np.zeros((2, A.N + 1))])
 
 
 @pytest.mark.filterwarnings("always::repro.inla.solvers.OneShotDeprecationWarning")

@@ -77,6 +77,30 @@ class TestDistributedLanes:
             np.testing.assert_allclose(got, np.linalg.solve(dense, s.T).T, atol=1e-9)
 
 
+class TestEmptyLaneList:
+    """No lanes, no epoch: every handle answers ``[]`` without launching
+    a collective round (a zero-lane round has nothing to concatenate)."""
+
+    @pytest.mark.parametrize("kind", ["sequential", "threads", "proc"])
+    def test_returns_empty_list(self, kind):
+        A, _ = _case()
+        if kind == "sequential":
+            f = factorize(A)
+        elif kind == "threads":
+            f = d_factorize(A, 3)
+        else:
+            f = d_factorize_proc(A, 3)
+        try:
+            assert f.solve_stack_lanes([]) == []
+            assert f.solve_lt_stack_lanes([]) == []
+            if kind != "sequential":
+                # The handle still serves epochs afterwards.
+                assert f.solve_stack_lanes([np.ones((1, A.N))])[0].shape == (1, A.N)
+        finally:
+            if kind == "proc":
+                f.close()
+
+
 class TestSweepGroupedLanes:
     """``_sweep_grouped`` with a lanes sibling keeps composition-invariant
     bits: the lanes call collapses the collective rounds but runs exactly
